@@ -39,8 +39,13 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from repro.experiments.performance import reproduce_cache_effectiveness
-from repro.instrumentation import reset_counters
-from repro.telemetry import NOOP_SPAN, Tracer, disable, enable
+from repro.telemetry import (
+    NOOP_SPAN,
+    Tracer,
+    default_registry,
+    disable,
+    enable,
+)
 
 #: Every module that binds ``from repro.telemetry import span`` on a path
 #: the E22 workload exercises.  ``from``-imports bind per module, so the
@@ -80,7 +85,7 @@ def _restore_spans(saved: dict) -> None:
 
 
 def _time_once() -> float:
-    reset_counters()
+    default_registry().reset_caches()
     start = time.perf_counter()
     reproduce_cache_effectiveness()
     return time.perf_counter() - start

@@ -13,8 +13,7 @@ then drives the serving tier through its whole contract:
 * **a warm restart**: a second server on the same store directory must
   answer the earlier queries from disk without recomputing.
 
-Run directly (``python scripts/serve_smoke.py``) — CI runs it twice,
-once plainly and once under ``REPRO_SANITIZE=1``.  Exit status 0 on
+Run directly (``python scripts/serve_smoke.py``).  Exit status 0 on
 success, 1 on any failed check.
 """
 
@@ -153,8 +152,6 @@ def run_smoke() -> list[str]:
 
 
 def main() -> int:
-    if os.environ.get("REPRO_SANITIZE"):
-        print("serve smoke: running with REPRO_SANITIZE=1")
     failures = run_smoke()
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -14,17 +14,16 @@ vocabulary and one CLI:
 
 * **AST lint** (:mod:`repro.checks.astlint`) — ``RPR00x`` rules over
   source code: interning safety, ``from_maximal`` discipline,
-  counter placement, exception hygiene on solver hot paths, and the
-  fully-annotated public proof core backing the mypy gate.
+  exception hygiene on solver hot paths, the fully-annotated public
+  proof core backing the mypy gate, and mask confinement (the bitmask
+  API of :class:`~repro.topology.table.VertexTable` is used only
+  inside :mod:`repro.topology`).
 
 * **Flow engine** (:mod:`repro.checks.flow` over
   :mod:`repro.checks.cfg` and :mod:`repro.checks.provenance`) —
-  flow-sensitive ``RPR006``–``RPR009`` rules: mask provenance across
-  :class:`~repro.topology.table.VertexTable` boundaries (statically
-  proving what the ``REPRO_SANITIZE=1`` runtime sanitizer asserts
-  dynamically), unordered-iteration determinism, pure-path hygiene,
-  and worker-function purity — gated through the committed
-  ``.repro-flow-baseline.json``.
+  flow-sensitive ``RPR007``–``RPR009`` rules: unordered-iteration
+  determinism, pure-path hygiene, and worker-function purity — gated
+  through the committed ``.repro-flow-baseline.json``.
 
 Run ``repro check --all`` to audit every registered experiment's
 machinery, ``repro check --lint src/`` to lint the tree, and

@@ -15,9 +15,6 @@ RPR002    construction sites that already hold an inclusion-maximal
           ``x.facets_containing(v)``) must use
           ``SimplicialComplex.from_maximal``, not the pruning
           constructor — the prune is pure overhead there
-RPR003    ``repro.instrumentation.counter`` is a registry lookup;
-          fetch counters once at module level, never per call on a hot
-          path
 RPR004    no bare ``except:`` anywhere, and no silent ``except …:
           pass`` in the solver hot paths (``repro.core``,
           ``repro.models``, ``repro.topology``, ``repro.parallel``) —
@@ -27,12 +24,16 @@ RPR005    public functions in ``repro.core``, ``repro.models``,
           ``repro.topology``, and ``repro.parallel`` must carry
           complete type annotations (every parameter and the return
           type), keeping the mypy gate and ``py.typed`` honest
+RPR006    the bitmask API (``encode_mask*``, ``decode_mask*``,
+          ``colors_mask``, ``full_mask``, ``_ensure_index``,
+          ``table_id``) is used only inside ``repro.topology`` — a mask
+          is meaningful only against the table that encoded it, so
+          masks never leave the package that owns the tables
 ========  ============================================================
 
-Suppression: append ``# norpr: RPR003`` (comma-separate several ids, or
+Suppression: append ``# norpr: RPR004`` (comma-separate several ids, or
 ``all``) to the offending line.  Suppressions are deliberate, reviewable
-exemptions — e.g. the lazy per-instance counter init in
-:mod:`repro.models.base`.  A suppression that suppresses *nothing* (a
+exemptions.  A suppression that suppresses *nothing* (a
 stale or misspelled id, or no finding left on that line) is itself
 reported as RPR000 so exemptions cannot rot silently; ids owned by the
 flow engine (:mod:`repro.checks.flow` registers them in
@@ -68,7 +69,7 @@ __all__ = [
 _SUPPRESSION = re.compile(r"#\s*norpr:\s*([A-Za-z0-9_,\s]+)")
 
 #: Rule ids owned by other engines sharing the ``# norpr:`` syntax (the
-#: flow engine registers RPR006–RPR009 here on import).  The lint's
+#: flow engine registers RPR007–RPR009 here on import).  The lint's
 #: unused-suppression pass leaves these ids to their owner instead of
 #: reporting them as unknown.
 EXTERNAL_RPR_IDS: set[str] = set()
@@ -99,6 +100,13 @@ _HOT_PACKAGES: frozenset[tuple[str, str]] = frozenset(
         ("repro", "parallel"),
     }
 )
+
+#: The bitmask API: masks are meaningful only against the VertexTable
+#: that encoded them, so only repro.topology may touch these names.
+_MASK_API: frozenset[str] = frozenset(
+    {"colors_mask", "full_mask", "_ensure_index", "table_id"}
+)
+_MASK_API_PREFIXES = ("encode_mask", "decode_mask")
 
 #: Methods of SimplicialComplex whose return value is already an
 #: inclusion-maximal facet family.
@@ -384,40 +392,6 @@ def check_from_maximal(context: LintContext) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RPR003 — counters are module-level
-# ----------------------------------------------------------------------
-@lint_rule("RPR003", "counter() declarations belong at module level")
-def check_counter_placement(context: LintContext) -> Iterator[Finding]:
-    imported = any(
-        isinstance(node, ast.ImportFrom)
-        and node.module == "repro.instrumentation"
-        and any(alias.name == "counter" for alias in node.names)
-        for node in ast.walk(context.tree)
-    )
-    if not imported:
-        return
-    for function in ast.walk(context.tree):
-        if not isinstance(
-            function, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        for node in ast.walk(function):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "counter"
-            ):
-                yield Finding(
-                    "RPR003",
-                    Severity.ERROR,
-                    _location(context, node),
-                    "counter() called inside a function: fetch the "
-                    "counter once at module level and keep a reference "
-                    "on the hot path",
-                )
-
-
-# ----------------------------------------------------------------------
 # RPR004 — no swallowed errors on hot paths
 # ----------------------------------------------------------------------
 @lint_rule("RPR004", "no bare except / silent pass in solver hot paths")
@@ -506,3 +480,27 @@ def check_public_annotations(context: LintContext) -> Iterator[Finding]:
             f"{', '.join(missing)} (the mypy gate and py.typed require "
             "a fully typed proof core)",
         )
+
+
+# ----------------------------------------------------------------------
+# RPR006 — masks stay inside repro.topology
+# ----------------------------------------------------------------------
+@lint_rule("RPR006", "the bitmask API is used only inside repro.topology")
+def check_mask_confinement(context: LintContext) -> Iterator[Finding]:
+    if context.module_parts[:2] == ("repro", "topology"):
+        return
+    for node in ast.walk(context.tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if name in _MASK_API or name.startswith(_MASK_API_PREFIXES):
+            yield Finding(
+                "RPR006",
+                Severity.ERROR,
+                _location(context, node),
+                f"{name!r} is the bitmask API of repro.topology: a mask "
+                "is meaningful only against the table that encoded it; "
+                "use a table-owned entry point (VertexTable.key, "
+                "SimplicialComplex.candidate_key, the repro.topology.wire "
+                "codecs) instead",
+            )

@@ -1,11 +1,10 @@
-"""Flow-sensitive analysis engine (the ``RPR006``–``RPR009`` rules).
+"""Flow-sensitive analysis engine (the ``RPR007``–``RPR009`` rules).
 
 The per-node lint (:mod:`repro.checks.astlint`) sees one AST node at a
-time; the bug class introduced by the bitmask-native core — a mask from
-one :class:`~repro.topology.table.VertexTable` meeting a mask or table
-from another — is a *dataflow* property.  This module runs a forward
-abstract interpretation over the CFGs of :mod:`repro.checks.cfg` with
-the provenance lattice of :mod:`repro.checks.provenance`:
+time; whether a name holds an unordered collection where it is consumed
+is a *dataflow* property.  This module runs a forward abstract
+interpretation over the CFGs of :mod:`repro.checks.cfg` with the
+lattice of :mod:`repro.checks.provenance`:
 
 1. every function body (and the module body) is lowered to a CFG;
 2. a worklist fixpoint propagates abstract environments (variable →
@@ -16,17 +15,7 @@ the provenance lattice of :mod:`repro.checks.provenance`:
    reports :class:`~repro.checks.findings.Finding` records.
 
 Findings share the ``RPR`` id space, the suppression syntax
-(``# norpr: RPR006``), and the reporters with the lint — and rule
-RPR006 shares its id with the runtime sanitizer
-(:mod:`repro.topology.sanitize`), which asserts dynamically exactly
-what the static rule proves on source.
-
-Severity policy: a mix of two *definite* origins (distinct
-``VertexTable(...)`` construction sites) is an ``ERROR`` — the tables
-cannot be the same object.  Mixes involving symbolic origins (dotted
-expressions like ``self._table``, ``interned`` sites) may alias, so
-they report as ``WARNING`` and never gate CI.  Unknown origins never
-report at all.
+(``# norpr: RPR007``), and the reporters with the lint.
 
 Suppressions that suppress nothing are themselves reported (RPR000):
 this engine owns staleness of the flow rule ids, the lint owns its own
@@ -57,9 +46,6 @@ from repro.checks.astlint import (
 from repro.checks.cfg import CFG, build_cfg
 from repro.checks.findings import Finding, Severity
 from repro.checks.provenance import (
-    KIND_INDEX,
-    KIND_MASK,
-    KIND_TABLE,
     TOP,
     AbstractValue,
     Env,
@@ -236,36 +222,14 @@ FLOW_RULE_IDS: frozenset[str] = frozenset()
 # ----------------------------------------------------------------------
 # Abstract interpretation
 # ----------------------------------------------------------------------
-def _bind_target(
-    target: ast.AST,
-    value: AbstractValue,
-    state: Env,
-    evaluator: Evaluator,
-) -> None:
+def _bind_target(target: ast.AST, value: AbstractValue, state: Env) -> None:
     if isinstance(target, ast.Name):
         state[target.id] = value
-        return
-    if isinstance(target, ast.Starred):
-        _bind_target(target.value, TOP, state, evaluator)
-        return
-    if isinstance(target, (ast.Tuple, ast.List)):
-        elements = target.elts
-        if (
-            value.kind == KIND_INDEX
-            and len(elements) == 2
-            and all(isinstance(e, ast.Name) for e in elements)
-        ):
-            # ``table, masks = complex._ensure_index()`` — both halves
-            # share the index origin.
-            state[elements[0].id] = AbstractValue(  # type: ignore[union-attr]
-                KIND_TABLE, value.origin, value.definite
-            )
-            state[elements[1].id] = AbstractValue(  # type: ignore[union-attr]
-                KIND_MASK, value.origin, value.definite
-            )
-            return
-        for element in elements:
-            _bind_target(element, TOP, state, evaluator)
+    elif isinstance(target, ast.Starred):
+        _bind_target(target.value, TOP, state)
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            _bind_target(element, TOP, state)
     # Attribute/Subscript targets are not tracked.
 
 
@@ -276,32 +240,16 @@ def _transfer(
     if isinstance(element, ast.Assign):
         value = evaluator.evaluate(element.value, state)
         for target in element.targets:
-            _bind_target(target, value, state, evaluator)
+            _bind_target(target, value, state)
     elif isinstance(element, ast.AnnAssign):
         if element.value is not None:
             value = evaluator.evaluate(element.value, state)
-            _bind_target(element.target, value, state, evaluator)
+            _bind_target(element.target, value, state)
     elif isinstance(element, ast.AugAssign):
         if isinstance(element.target, ast.Name):
-            left = state.get(element.target.id, TOP)
-            right = evaluator.evaluate(element.value, state)
-            if isinstance(
-                element.op, (ast.BitAnd, ast.BitOr, ast.BitXor)
-            ):
-                result = left if left.kind == KIND_MASK else right
-                if result.kind != KIND_MASK:
-                    result = TOP
-            else:
-                result = TOP
-            state[element.target.id] = result
+            state[element.target.id] = TOP
     elif isinstance(element, (ast.For, ast.AsyncFor)):
-        iterable = evaluator.evaluate(element.iter, state)
-        _bind_target(
-            element.target,
-            evaluator.element_of(iterable),
-            state,
-            evaluator,
-        )
+        _bind_target(element.target, TOP, state)
     elif isinstance(element, ast.withitem):
         if isinstance(element.optional_vars, ast.Name):
             state[element.optional_vars.id] = TOP

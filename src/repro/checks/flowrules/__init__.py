@@ -7,11 +7,6 @@ Importing this package registers the rules with
 ========  ============================================================
 rule id   contract
 ========  ============================================================
-RPR006    mask provenance — a bitmask from one ``VertexTable`` is
-          never combined bitwise, compared, decoded, or paired into a
-          memo key with a mask or table from a different table
-          (:mod:`repro.checks.flowrules.masks`; cross-validated at
-          runtime by ``REPRO_SANITIZE=1``)
 RPR007    determinism — unordered ``set``/``frozenset`` iteration
           never flows into order-sensitive outputs: ``list``/``tuple``
           materialization, ``enumerate``, ``str.join``, list
@@ -28,6 +23,6 @@ RPR009    worker purity — functions shipped through ``parallel_map``
 ========  ============================================================
 """
 
-from repro.checks.flowrules import determinism, masks, purity
+from repro.checks.flowrules import determinism, purity
 
-__all__ = ["masks", "determinism", "purity"]
+__all__ = ["determinism", "purity"]

@@ -1,38 +1,17 @@
-"""The value-provenance lattice of the flow analysis.
+"""The abstract-value lattice of the flow analysis.
 
-Abstract values answer the two questions the rule packs ask about an
-expression: *which table does this mask/table come from* (RPR006) and
-*is this collection iteration-order-deterministic* (RPR007).  The
-lattice is deliberately shallow::
+Abstract values answer the one question the rule packs ask about an
+expression: *is this collection iteration-order-deterministic* (RPR007).
+The lattice is deliberately shallow::
 
               TOP  (anything; no claim)
-             / | \\
-        TABLE MASK UNORDERED ...   (kinded, with an optional origin)
+               |
+           UNORDERED   (a set/frozenset: iteration order undefined)
 
-An **origin** is a string token naming where a table came from:
-
-* ``VertexTable@<line>:<col>`` — a construction site (``VertexTable(…)``
-  or ``interned_of(…)`` call).  Two *different* construction sites are
-  **definitely** different tables, so mixing their masks is reported at
-  ``ERROR``.
-* ``interned@<line>:<col>`` — a ``VertexTable.interned(…)`` site.  Two
-  interned sites *may* return the same table object (equal pairs), so
-  these origins are non-definite.
-* ``name:<dotted.expr>`` — a symbolic origin read off a plain
-  ``Name``/``Attribute`` chain (``self._table``).  Two different dotted
-  expressions *may* alias the same table, so symbolic mismatches are
-  reported at ``WARNING``, never ``ERROR``.
-* ``index:<dotted.expr>`` — the index table of a complex, produced by
-  ``<expr>._ensure_index()`` (also symbolic).
-
-A ``None`` origin means "unknown"; no rule ever fires on an unknown
-origin — the analysis only reports mixes it can *prove* (definite) or
-*strongly suspect* (two known-but-different symbolic origins).
-
-Joins are pointwise: equal values join to themselves, a value joins
-with TOP (or with a conflicting value) to TOP — once two paths disagree
-about a name, the analysis stops claiming anything about it, which is
-exactly the behaviour that keeps false positives out.
+Joins are pointwise: equal values join to themselves, anything else
+joins to TOP — once two paths disagree about a name, the analysis stops
+claiming anything about it, which is exactly the behaviour that keeps
+false positives out.
 """
 
 from __future__ import annotations
@@ -48,81 +27,41 @@ __all__ = [
     "join",
     "join_env",
     "dotted_name",
-    "table_token",
     "Evaluator",
 ]
 
 # Value kinds.
 KIND_TOP = "top"
-KIND_TABLE = "table"          # a VertexTable; origin = its identity token
-KIND_MASK = "mask"            # a bitmask (or homogeneous mask collection)
 KIND_UNORDERED = "unordered"  # a set/frozenset: iteration order undefined
-KIND_INDEX = "index-pair"     # the (table, masks) pair of _ensure_index()
 
 
 @dataclass(frozen=True)
 class AbstractValue:
-    """One point of the provenance lattice.
-
-    ``origin`` is the table token for TABLE/MASK/INDEX values (``None``
-    when unknown); ``definite`` is ``True`` only for origins minted at a
-    plain construction site, where distinct tokens imply distinct
-    tables.
-    """
+    """One point of the lattice."""
 
     kind: str
-    origin: Optional[str] = None
-    definite: bool = False
-
-    def is_top(self) -> bool:
-        return self.kind == KIND_TOP
 
 
 TOP = AbstractValue(KIND_TOP)
+UNORDERED = AbstractValue(KIND_UNORDERED)
 
 #: One program state: variable name -> abstract value.  Names absent
 #: from the mapping are bottom (never assigned on this path); joining
 #: bottom with a value keeps the value, which is the bug-finding choice
-#: (a maybe-unassigned name still carries its one known provenance).
+#: (a maybe-unassigned name still carries its one known value).
 Env = Dict[str, AbstractValue]
-
-#: Mask-producing VertexTable methods (origin = the receiver table).
-MASK_METHODS = frozenset(
-    {"encode_mask", "encode_mask_interning", "colors_mask"}
-)
-
-#: Mask-producing VertexTable attributes.
-MASK_ATTRIBUTES = frozenset({"full_mask"})
-
-#: Table-constructing callables (definite origins).
-TABLE_CONSTRUCTORS = frozenset({"VertexTable"})
-
-#: Table-returning classmethods of VertexTable (non-definite: interned
-#: calls with equal pairs return the *same* object).
-TABLE_CLASSMETHODS = frozenset({"interned", "interned_of"})
 
 #: Set-algebra methods that keep a set unordered.
 _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
 )
 
-_BITWISE = (ast.BitAnd, ast.BitOr, ast.BitXor)
+_SET_OPERATORS = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
 
 
 def join(left: AbstractValue, right: AbstractValue) -> AbstractValue:
     """Least upper bound of two values (TOP on any disagreement)."""
-    if left == right:
-        return left
-    if left.kind == right.kind and left.kind in (
-        KIND_MASK,
-        KIND_TABLE,
-        KIND_INDEX,
-    ):
-        # Same kind, different origin: keep the kind, drop the claim.
-        return AbstractValue(left.kind)
-    if left.kind == right.kind:
-        return AbstractValue(left.kind)
-    return TOP
+    return left if left == right else TOP
 
 
 def join_env(left: Env, right: Env) -> Env:
@@ -146,42 +85,28 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def table_token(node: ast.AST, env: Env) -> AbstractValue:
-    """The abstract table value of an expression in table position.
-
-    A tracked name wins; otherwise a pure dotted chain becomes a
-    symbolic ``name:`` origin; anything else is an unknown table.
-    """
-    if isinstance(node, ast.Name):
-        value = env.get(node.id)
-        if value is not None and value.kind == KIND_TABLE:
-            return value
-    dotted = dotted_name(node)
-    if dotted is not None:
-        return AbstractValue(KIND_TABLE, f"name:{dotted}")
-    return AbstractValue(KIND_TABLE)
-
-
 class Evaluator:
     """Side-effect-free abstract evaluation of expressions.
 
-    One instance per analyzed module; carries nothing but the statistics
-    hook, so it is safe to share across functions.
+    Stateless, so one instance is safe to share across functions.
     """
 
     def evaluate(self, node: ast.AST, env: Env) -> AbstractValue:
         if isinstance(node, ast.Name):
             return env.get(node.id, TOP)
         if isinstance(node, ast.Attribute):
-            return self._evaluate_attribute(node, env)
+            return env.get(dotted_name(node) or "", TOP)
         if isinstance(node, ast.Call):
             return self._evaluate_call(node, env)
-        if isinstance(node, (ast.Set,)):
-            return AbstractValue(KIND_UNORDERED)
-        if isinstance(node, ast.SetComp):
-            return AbstractValue(KIND_UNORDERED)
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return UNORDERED
         if isinstance(node, ast.BinOp):
-            return self._evaluate_binop(node, env)
+            if isinstance(node.op, _SET_OPERATORS) and UNORDERED in (
+                self.evaluate(node.left, env),
+                self.evaluate(node.right, env),
+            ):
+                return UNORDERED
+            return TOP
         if isinstance(node, ast.BoolOp):
             value = self.evaluate(node.values[0], env)
             for operand in node.values[1:]:
@@ -192,103 +117,23 @@ class Evaluator:
                 self.evaluate(node.body, env),
                 self.evaluate(node.orelse, env),
             )
-        if isinstance(node, ast.NamedExpr):
+        if isinstance(node, (ast.NamedExpr, ast.Starred, ast.Await)):
             return self.evaluate(node.value, env)
-        if isinstance(node, ast.Starred):
-            return self.evaluate(node.value, env)
-        if isinstance(node, ast.Await):
-            return self.evaluate(node.value, env)
-        return TOP
-
-    # ------------------------------------------------------------------
-    def _evaluate_attribute(
-        self, node: ast.Attribute, env: Env
-    ) -> AbstractValue:
-        if node.attr in MASK_ATTRIBUTES:
-            table = table_token(node.value, env)
-            return AbstractValue(KIND_MASK, table.origin, table.definite)
-        value = env.get(dotted_name(node) or "", None)
-        if value is not None:
-            return value
         return TOP
 
     def _evaluate_call(self, node: ast.Call, env: Env) -> AbstractValue:
         function = node.func
-        # VertexTable(...) — definite construction site.
-        if (
-            isinstance(function, ast.Name)
-            and function.id in TABLE_CONSTRUCTORS
-        ):
-            return AbstractValue(
-                KIND_TABLE,
-                f"VertexTable@{node.lineno}:{node.col_offset}",
-                definite=True,
-            )
         if isinstance(function, ast.Name):
+            # sorted() launders unordered into deterministic; plain
+            # list()/tuple() of an unordered value is RPR007's business,
+            # but the *result* is an ordinary sequence.
             if function.id in ("set", "frozenset"):
-                return AbstractValue(KIND_UNORDERED)
-            if function.id in ("sorted", "list", "tuple"):
-                # sorted() launders unordered into deterministic; plain
-                # list()/tuple() of an unordered value is RPR007's
-                # business, but the *result* is an ordinary sequence.
-                return TOP
+                return UNORDERED
             return TOP
-        if not isinstance(function, ast.Attribute):
-            return TOP
-        attr = function.attr
-        # VertexTable.interned(...) / interned_of(...) — table, but two
-        # sites may alias (equal pairs intern to one object).
         if (
-            attr in TABLE_CLASSMETHODS
-            and dotted_name(function.value) == "VertexTable"
+            isinstance(function, ast.Attribute)
+            and function.attr in _SET_METHODS
+            and self.evaluate(function.value, env) == UNORDERED
         ):
-            return AbstractValue(
-                KIND_TABLE, f"interned@{node.lineno}:{node.col_offset}"
-            )
-        if attr in MASK_METHODS:
-            table = table_token(function.value, env)
-            return AbstractValue(KIND_MASK, table.origin, table.definite)
-        if attr == "_ensure_index":
-            dotted = dotted_name(function.value)
-            if dotted is not None:
-                return AbstractValue(KIND_INDEX, f"index:{dotted}")
-            return AbstractValue(KIND_INDEX)
-        if attr in _SET_METHODS:
-            receiver = self.evaluate(function.value, env)
-            if receiver.kind == KIND_UNORDERED:
-                return AbstractValue(KIND_UNORDERED)
-        return TOP
-
-    def _evaluate_binop(self, node: ast.BinOp, env: Env) -> AbstractValue:
-        left = self.evaluate(node.left, env)
-        right = self.evaluate(node.right, env)
-        if isinstance(node.op, _BITWISE + (ast.Sub,)):
-            if (
-                left.kind == KIND_UNORDERED
-                or right.kind == KIND_UNORDERED
-            ):
-                return AbstractValue(KIND_UNORDERED)
-        if isinstance(node.op, _BITWISE):
-            # Mask combination: the result is a mask carrying the
-            # origin of whichever side has one (a cross-origin mix is
-            # RPR006's business; the result keeps the left claim).
-            if left.kind == KIND_MASK:
-                return left
-            if right.kind == KIND_MASK:
-                return right
-        if isinstance(node.op, (ast.LShift, ast.RShift)):
-            if left.kind == KIND_MASK:
-                return left
-        return TOP
-
-    # ------------------------------------------------------------------
-    def element_of(self, value: AbstractValue) -> AbstractValue:
-        """The abstract value of one element of an iterated value.
-
-        Iterating a homogeneous mask collection yields masks of the
-        same origin; everything else yields TOP (the *orderedness* of
-        the iteration is judged by RPR007 from the iterable itself).
-        """
-        if value.kind == KIND_MASK:
-            return value
+            return UNORDERED
         return TOP

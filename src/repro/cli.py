@@ -9,8 +9,7 @@ Exposes the library's headline computations without writing Python::
     repro run halving --eps 1/8 --inputs 0,1/2,1 --seed 7 --crash 0.2
     repro check --all                 # audit every experiment's invariants
     repro check --lint src/           # repo-specific AST lint (RPR rules)
-    repro check --flow                # flow analysis (mask provenance, …)
-    repro run halving --sanitize ...  # runtime mask-provenance sanitizer
+    repro check --flow                # flow analysis (determinism, …)
     repro chaos --algorithm aa --model iis -n 3 --executions 2000 --seed 0
     repro chaos --replay trace.json --shrink
     repro chaos --workers 2 --retries 2 --inject-exec-faults 0 --json
@@ -581,18 +580,6 @@ def _add_supervisor_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sanitize_argument(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--sanitize`` option (mask provenance)."""
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the runtime mask-provenance sanitizer for this "
-        "invocation (equivalent to REPRO_SANITIZE=1): bitmasks are "
-        "tagged with their owning VertexTable and cross-table "
-        "mixes raise MaskProvenanceError (RPR006)",
-    )
-
-
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--trace``/``--trace-format`` options."""
     group = parser.add_argument_group("telemetry")
@@ -649,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", nargs="?", default=None)
     _add_workers_argument(p)
     _add_supervisor_arguments(p)
-    _add_sanitize_argument(p)
     _add_trace_arguments(p)
 
     p = sub.add_parser(
@@ -660,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
             "registry's live objects (chromaticity, facet maximality, "
             "carrier monotonicity, schedule matrix conditions, memo "
             "coherence, task/closure well-formedness), run the "
-            "repo-specific AST lint (RPR001–RPR005), and/or run the "
-            "flow-sensitive analysis (RPR006–RPR009: mask provenance, "
+            "repo-specific AST lint (RPR001, RPR002, RPR004–RPR006), "
+            "and/or run the flow-sensitive analysis (RPR007–RPR009: "
             "determinism, worker purity) with its committed baseline."
         ),
     )
@@ -687,9 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="PATH",
         default=None,
-        help="run the flow-sensitive analysis (RPR006–RPR009: mask "
-        "provenance, determinism, worker purity) over the given "
-        "files/directories (default: src/repro)",
+        help="run the flow-sensitive analysis (RPR007–RPR009: "
+        "determinism, worker purity) over the given files/directories "
+        "(default: src/repro)",
     )
     p.add_argument(
         "--baseline",
@@ -820,7 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_argument(p)
     _add_supervisor_arguments(p)
-    _add_sanitize_argument(p)
 
     p = sub.add_parser(
         "client",
@@ -871,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_argument(p)
     _add_supervisor_arguments(p)
-    _add_sanitize_argument(p)
     _add_trace_arguments(p)
 
     p = sub.add_parser(
@@ -950,7 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_argument(p)
     _add_supervisor_arguments(p)
-    _add_sanitize_argument(p)
     _add_trace_arguments(p)
 
     return parser
@@ -1026,18 +1009,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             set_default_supervisor(supervisor)
         except ReproError as exc:
             raise SystemExit(str(exc))
-    sanitize_flag = getattr(args, "sanitize", False)
-    if sanitize_flag:
-        from repro.topology import sanitize
-
-        sanitize.enable()
     try:
         return _dispatch_traced(args)
     finally:
-        if sanitize_flag:
-            from repro.topology import sanitize
-
-            sanitize.disable()
         if supervisor is not None:
             from repro.parallel.supervisor import set_default_supervisor
 

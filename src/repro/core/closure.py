@@ -27,20 +27,19 @@ from typing import Iterable, Optional
 
 from repro.core.local_task import local_task
 from repro.core.solvability import build_solvability_problem
-from repro.errors import ChromaticityError, SolvabilityError
-from repro.instrumentation import counter
+from repro.errors import SolvabilityError
 from repro.models.base import ComputationModel
 from repro.models.protocol import ProtocolOperator
 from repro.objects.augmented import AugmentedModel
 from repro.objects.beta import beta_input_function
 from repro.tasks.task import Task
-from repro.telemetry import span
+from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 
 __all__ = ["ClosureComputer", "closure_task"]
 
-_MEMBERSHIP_STATS = counter("closure.membership")
+_MEMBERSHIP_STATS = default_registry().cache("closure.membership")
 
 
 class ClosureComputer:
@@ -74,11 +73,10 @@ class ClosureComputer:
             raise SolvabilityError(
                 "quantify_beta requires an augmented model"
             )
-        #: Membership keyed by ``(Δ(σ), mask of τ over Δ(σ)'s table)``.
-        #: Equal allowed complexes share one interned table, so the mask
-        #: is canonical; the complex itself stays in the key because two
-        #: *different* complexes over the same vertex set also share
-        #: that table — ``(table_id, mask)`` alone would collide.
+        #: Membership keyed by ``(Δ(σ), Δ(σ).candidate_key(τ))``.  Equal
+        #: allowed complexes share candidate keys, so the key is
+        #: canonical; the complex itself stays in the key because two
+        #: *different* complexes over the same vertex set share them too.
         self._membership_cache: dict[
             tuple[SimplicialComplex, int], bool
         ] = {}
@@ -116,36 +114,32 @@ class ClosureComputer:
         if tau.ids != sigma.ids:
             return False
         allowed = self._task.delta(sigma)
-        table, _ = allowed._ensure_index()
-        try:
-            # The strict encode doubles as the τ ⊆ V(Δ(σ)) test: a
-            # vertex outside the allowed complex is not in its table.
-            mask = table.encode_mask(tau)
-        except ChromaticityError:
+        # The candidate key doubles as the τ ⊆ V(Δ(σ)) test.
+        key = allowed.candidate_key(tau)
+        if key is None:
             return False
-        return self._contains_mask(sigma, allowed, mask, tau)
+        return self._contains_key(sigma, allowed, key, tau)
 
-    def _contains_mask(
+    def _contains_key(
         self,
         sigma: Simplex,
         allowed: SimplicialComplex,
-        mask: int,
+        key: int,
         tau: Optional[Simplex] = None,
     ) -> bool:
-        """Memoized membership for a τ already encoded over Δ(σ)'s table.
+        """Memoized membership for a τ given by its key over Δ(σ).
 
         ``τ`` itself is only materialized on a cache miss (the local-task
-        decision needs the simplex); mask-level sweeps like
-        :meth:`legal_outputs` pass the mask alone.
+        decision needs the simplex); key-level sweeps like
+        :meth:`legal_outputs` pass the key alone.
         """
-        key = (allowed, mask)
-        found = self._membership_cache.get(key)
+        cache_key = (allowed, key)
+        found = self._membership_cache.get(cache_key)
         if found is None:
             _MEMBERSHIP_STATS.miss()
             if tau is None:
-                table, _ = allowed._ensure_index()
-                tau = table.decode_mask_trusted(mask)
-            found = self._membership_cache[key] = self._decide(
+                tau = allowed.candidate(key)
+            found = self._membership_cache[cache_key] = self._decide(
                 sigma, tau, allowed
             )
         else:
@@ -223,26 +217,16 @@ class ClosureComputer:
             model=self._model.name,
         ):
             allowed = self._task.delta(sigma)
-            table, _ = allowed._ensure_index()
-            # Candidate τ masks come straight off the table's per-color
-            # bits; a Simplex is built only for cache-missing members
-            # (inside _contains_mask) and for the returned results.
-            per_color = [
-                [
-                    1 << table.index_of(vertex)
-                    for vertex in allowed.vertices_of_color(color)
-                ]
-                for color in sorted(sigma.ids)
+            # Candidates stay keys; a Simplex is built only for
+            # cache-missing members (inside _contains_key) and for the
+            # returned results.
+            found = [
+                key
+                for key in allowed.chromatic_candidates(sigma.ids)
+                if self._contains_key(sigma, allowed, key)
             ]
-            found = []
-            for combo in product(*per_color):
-                mask = 0
-                for bit in combo:
-                    mask |= bit
-                if self._contains_mask(sigma, allowed, mask):
-                    found.append(mask)
             return sorted(
-                (table.decode_mask_trusted(mask) for mask in found),
+                (allowed.candidate(key) for key in found),
                 key=lambda s: s._sort_key(),
             )
 

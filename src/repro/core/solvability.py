@@ -472,11 +472,31 @@ class SolvabilityProblem:
                     return False
             return True
 
-        def backtrack(depth: int) -> bool:
-            if depth == len(order):
+        def backtrack() -> bool:
+            # Depth-first over ``order`` with an explicit stack of
+            # next-option positions, one per depth: components can have
+            # thousands of free vertices, far beyond the interpreter's
+            # recursion limit.  Variable order, value order and node
+            # counting are fixed: the parallel engine must find the
+            # serial map, and node budgets must stay comparable.
+            depth_count = len(order)
+            if depth_count == 0:
                 return True
-            vertex = order[depth]
-            for image in domains[vertex]:
+            next_option = [0] * depth_count
+            depth = 0
+            while True:
+                vertex = order[depth]
+                options = domains[vertex]
+                position = next_option[depth]
+                if position == len(options):
+                    # Every value failed: retract the parent's image.
+                    next_option[depth] = 0
+                    depth -= 1
+                    if depth < 0:
+                        return False
+                    del assignment[order[depth]]
+                    continue
+                next_option[depth] = position + 1
                 self.last_search_nodes += 1
                 if node_limit is not None and (
                     self.last_search_nodes > node_limit
@@ -484,19 +504,21 @@ class SolvabilityProblem:
                     raise SolvabilityError(
                         f"search exceeded the node budget of {node_limit}"
                     )
-                assignment[vertex] = image
-                if consistent(vertex) and backtrack(depth + 1):
-                    return True
-                del assignment[vertex]
-            return False
+                assignment[vertex] = options[position]
+                if consistent(vertex):
+                    depth += 1
+                    if depth == depth_count:
+                        return True
+                else:
+                    del assignment[vertex]
 
         try:
-            return backtrack(0)
+            return backtrack()
         except SolvabilityError:
-            # A budget abort propagates out of backtrack() mid-descent,
-            # skipping the per-frame deletions; unwind the component's
-            # partial images so a caught error leaves the problem (and the
-            # shared assignment) reusable for a later solve.
+            # A budget abort leaves the images of the current descent in
+            # place; unwind the component's partial images so a caught
+            # error leaves the problem (and the shared assignment)
+            # reusable for a later solve.
             for vertex in order:
                 assignment.pop(vertex, None)
             raise

@@ -21,7 +21,6 @@ __all__ = [
     "ExecutionBudgetExceeded",
     "ExperimentError",
     "TelemetryError",
-    "MaskProvenanceError",
     "WorkerCrashError",
     "TransientTaskError",
     "QuarantineError",
@@ -160,18 +159,6 @@ class QuarantineError(ReproError, RuntimeError):
             f"{len(quarantined)} {label} task(s) quarantined after "
             f"exhausting retries (indices: {indices})"
         )
-
-
-class MaskProvenanceError(ReproError, RuntimeError):
-    """A bitmask was used against a :class:`VertexTable` it did not come from.
-
-    Raised only by the runtime sanitizer (``REPRO_SANITIZE=1``, see
-    :mod:`repro.topology.sanitize`): masks are bare ``int``s that are only
-    meaningful relative to the table that encoded them, so combining or
-    decoding masks across incompatible tables silently yields wrong
-    simplices.  The static flow rule RPR006 proves the same contract on
-    source code; this exception is its dynamic cross-validation.
-    """
 
 
 class ServeError(ReproError, RuntimeError):

@@ -17,8 +17,9 @@ is built to survive its own subjects:
   classification, and any single execution can be re-run alone from its
   recorded seed;
 * **accounting** — aggregate counts feed the process-wide
-  :mod:`repro.instrumentation` counters, and reports render to text
-  (via :mod:`repro.analysis.reporting`) or deterministic JSON.
+  telemetry counters (:func:`repro.telemetry.default_registry`), and
+  reports render to text (via :mod:`repro.analysis.reporting`) or
+  deterministic JSON.
 
 Violating executions carry a replayable
 :class:`~repro.faults.injectors.FaultTrace`; feed it to
@@ -79,7 +80,6 @@ from repro.algorithms.approximate_agreement import (
     TwoProcessThirdsAA,
 )
 from repro.algorithms.consensus_bc import ConsensusViaBinaryConsensus
-from repro.instrumentation import counter
 from repro.objects import BinaryConsensusBox
 from repro.objects.base import BlackBox
 from repro.runtime.adversary import (
@@ -89,7 +89,7 @@ from repro.runtime.adversary import (
 )
 from repro.runtime.algorithm import RoundAlgorithm
 from repro.runtime.iterated import ExecutionResult, IteratedExecutor
-from repro.telemetry import ambient_clock, span
+from repro.telemetry import ambient_clock, default_registry, span
 
 __all__ = [
     "CampaignConfig",
@@ -109,12 +109,12 @@ __all__ = [
     "report_to_json",
 ]
 
-# Fetched once at import time (hot path — see repro.instrumentation).
-_EXECUTIONS = counter("faults.campaign.executions")
-_VIOLATIONS = counter("faults.campaign.violations")
-_HUNG = counter("faults.campaign.hung")
-_DETECTED = counter("faults.campaign.detected")
-_INCIDENTS = counter("faults.campaign.incidents")
+# Fetched once at import time: the hot path keeps the references.
+_EXECUTIONS = default_registry().cache("faults.campaign.executions")
+_VIOLATIONS = default_registry().cache("faults.campaign.violations")
+_HUNG = default_registry().cache("faults.campaign.hung")
+_DETECTED = default_registry().cache("faults.campaign.detected")
+_INCIDENTS = default_registry().cache("faults.campaign.incidents")
 
 #: How many non-OK outcomes a report keeps in full (witness + trace).
 _MAX_KEPT = 25

@@ -18,9 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable, Optional
 
-from repro.errors import ChromaticityError
-from repro.instrumentation import counter
-from repro.telemetry import span
+from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.table import VertexTable
@@ -60,7 +58,7 @@ class ComputationModel(ABC):
             # Per-instance lazy init: the counter name embeds self.name,
             # so a module-level fetch is impossible; this runs once per
             # model instance, not per lookup.
-            self._one_round_stats = counter(  # norpr: RPR003
+            self._one_round_stats = default_registry().cache(
                 f"one-round-complex[{self.name}]"
             )
         found = cache.get(self._memo_key(sigma))
@@ -92,7 +90,7 @@ class ComputationModel(ABC):
         table = getattr(self, "_memo_table", None)
         if table is None:
             table = self._memo_table = VertexTable()
-        return (table.table_id, table.encode_mask_interning(sigma))
+        return table.interning_key(sigma)
 
     def cached_one_round(
         self, sigma: Simplex
@@ -109,11 +107,8 @@ class ComputationModel(ABC):
         table = getattr(self, "_memo_table", None)
         if cache is None or table is None:
             return None
-        try:
-            mask = table.encode_mask(sigma)
-        except ChromaticityError:
-            return None
-        found = cache.get((table.table_id, mask))
+        key = table.key(sigma)
+        found = None if key is None else cache.get(key)
         return None if found is None else found[1]
 
     def seed_one_round(
@@ -130,7 +125,7 @@ class ComputationModel(ABC):
         if cache is None:
             cache = self._one_round_cache = {}
             # Same per-instance lazy init as one_round_complex above.
-            self._one_round_stats = counter(  # norpr: RPR003
+            self._one_round_stats = default_registry().cache(
                 f"one-round-complex[{self.name}]"
             )
         cache[self._memo_key(sigma)] = (sigma, complex_)
@@ -214,7 +209,7 @@ class IteratedModel(ComputationModel):
         if cache is None:
             cache = self._view_map_cache = {}
             # Same per-instance lazy init as one_round_complex above.
-            self._view_map_stats = counter(  # norpr: RPR003
+            self._view_map_stats = default_registry().cache(
                 f"view-maps[{self.name}]"
             )
         key = frozenset(ids)

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ChromaticityError
-from repro.instrumentation import counter
 from repro.models.base import ComputationModel
-from repro.telemetry import span
+from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.table import VertexTable
@@ -30,7 +28,7 @@ __all__ = ["ProtocolOperator"]
 
 #: Shared across operator instances on purpose: a sweep that constructs many
 #: short-lived operators still aggregates into one hit/miss line.
-_OF_SIMPLEX_STATS = counter("protocol-operator.of-simplex")
+_OF_SIMPLEX_STATS = default_registry().cache("protocol-operator.of-simplex")
 
 #: Below this many simplices a round is expanded serially even when a
 #: pool is available — fork/pickle overhead would dominate the work.
@@ -64,12 +62,7 @@ class ProtocolOperator:
         ] = {}
 
     def _memo_key(self, sigma: Simplex, rounds: int) -> tuple[int, int, int]:
-        table = self._memo_table
-        return (
-            table.table_id,
-            table.encode_mask_interning(sigma),
-            rounds,
-        )
+        return self._memo_table.interning_key(sigma) + (rounds,)
 
     @property
     def model(self) -> ComputationModel:
@@ -119,14 +112,11 @@ class ProtocolOperator:
         memo-table growth), used by the parallel engine to ship only
         missing work to the pool.
         """
-        try:
-            mask = self._memo_table.encode_mask(sigma)
-        except ChromaticityError:
+        key = self._memo_table.key(sigma)
+        if key is None:
             # A vertex the table has not seen cannot be in any key.
             return None
-        return self._simplex_cache.get(
-            (self._memo_table.table_id, mask, rounds)
-        )
+        return self._simplex_cache.get(key + (rounds,))
 
     def seed_of_simplex(
         self,

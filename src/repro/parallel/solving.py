@@ -5,7 +5,8 @@ into connected components of the constraint graph that share only the
 forced (singleton-domain) vertices — independent sub-searches.  Each
 component ships to a worker as a self-contained sub-problem (its pruned
 domains, the constraints touching it, and the forced vertices pinned as
-singleton domains), wire-encoded through a :class:`VertexTable`.
+singleton domains), wire-encoded by
+:func:`~repro.topology.wire.encode_component`.
 
 Workers search **without** re-running arc-consistency, so the variable
 order — and therefore the discovered assignment — is exactly the one the
@@ -18,7 +19,7 @@ the serial engine.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Optional
 
 from repro.core.solvability import (
     DecisionMap,
@@ -32,20 +33,15 @@ from repro.tasks.task import Task
 from repro.telemetry import span
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
-from repro.topology.wire import VertexTable
+from repro.topology.wire import (
+    ComponentPayload,
+    decode_choices,
+    decode_component,
+    encode_choices,
+    encode_component,
+)
 
 __all__ = ["parallel_find_decision_map"]
-
-#: Wire form of one component sub-problem: the interned pair table,
-#: per-vertex candidate index tuples, constraint (facet mask, family id)
-#: pairs, the deduplicated allowed families as mask tuples, and rounds.
-ComponentPayload = tuple[
-    tuple[tuple[int, Hashable], ...],
-    tuple[tuple[int, tuple[int, ...]], ...],
-    tuple[tuple[int, int], ...],
-    tuple[tuple[int, ...], ...],
-    int,
-]
 
 
 def _encode_component(
@@ -55,13 +51,10 @@ def _encode_component(
     assignment: dict[Vertex, Vertex],
 ) -> ComponentPayload:
     member = set(component)
-    table = VertexTable()
     candidates: dict[Vertex, tuple[Vertex, ...]] = {
         vertex: tuple(domains[vertex]) for vertex in component
     }
-    families: list[tuple[int, ...]] = []
-    family_ids: dict[frozenset[Simplex], int] = {}
-    constraints: list[tuple[int, int]] = []
+    constraints: list[tuple[Simplex, frozenset[Simplex]]] = []
     for facet, allowed in problem.constraints:
         if member.isdisjoint(facet.vertices):
             continue
@@ -72,56 +65,13 @@ def _encode_component(
         for vertex in facet.vertices:
             if vertex not in member:
                 candidates.setdefault(vertex, (assignment[vertex],))
-        family_id = family_ids.get(allowed)
-        if family_id is None:
-            family_id = family_ids[allowed] = len(families)
-            families.append(
-                tuple(
-                    sorted(
-                        table.encode_mask_interning(simplex)
-                        for simplex in allowed
-                    )
-                )
-            )
-        constraints.append(
-            (table.encode_mask_interning(facet), family_id)
-        )
-    encoded_candidates = tuple(
-        (
-            table.add(vertex),
-            tuple(table.add(option) for option in options),
-        )
-        for vertex, options in candidates.items()
-    )
-    return (
-        table.pairs,
-        encoded_candidates,
-        tuple(constraints),
-        tuple(families),
-        problem.rounds,
-    )
+        constraints.append((facet, allowed))
+    return encode_component(candidates, constraints, problem.rounds)
 
 
-def _solve_component(
-    payload: ComponentPayload,
-) -> Optional[tuple[tuple[int, int], ...]]:
-    pairs, encoded_candidates, constraints, families, rounds = payload
-    table = VertexTable(pairs)
-    candidates = {
-        table.vertex_at(index): tuple(
-            table.vertex_at(option) for option in options
-        )
-        for index, options in encoded_candidates
-    }
-    decoded_families = [
-        frozenset(table.decode_mask(mask) for mask in masks)
-        for masks in families
-    ]
-    decoded_constraints = [
-        (table.decode_mask(mask), decoded_families[family_id])
-        for mask, family_id in constraints
-    ]
-    problem = SolvabilityProblem(candidates, decoded_constraints, rounds)
+def _solve_component(payload: ComponentPayload) -> Optional[tuple[int, ...]]:
+    candidates, constraints, rounds = decode_component(payload)
+    problem = SolvabilityProblem(candidates, constraints, rounds)
     # The shipped domains are already arc-consistent (the parent
     # propagated before decomposing); skipping re-propagation keeps the
     # worker's variable order — hence its discovered assignment —
@@ -129,12 +79,7 @@ def _solve_component(
     found = problem.solve(use_propagation=False)
     if found is None:
         return None
-    return tuple(
-        sorted(
-            (table.index_of(vertex), table.index_of(image))
-            for vertex, image in found.assignment.items()
-        )
-    )
+    return encode_choices(candidates, found.assignment)
 
 
 def parallel_find_decision_map(
@@ -203,10 +148,6 @@ def parallel_find_decision_map(
             solve_span.set_attribute("solvable", False)
             return None
         for payload, solved in zip(payloads, outcome.results):
-            table = VertexTable(payload[0])
-            for vertex_index, image_index in solved:
-                assignment[table.vertex_at(vertex_index)] = table.vertex_at(
-                    image_index
-                )
+            assignment.update(decode_choices(payload, solved))
         solve_span.set_attribute("solvable", True)
         return DecisionMap(dict(assignment), problem.rounds)

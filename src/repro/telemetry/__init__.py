@@ -8,9 +8,8 @@ The observability layer of the proof machine, in three pieces:
   default; the module-level :func:`span` fast path makes disabled
   telemetry effectively free on the hot loops.
 * **metrics** (:mod:`repro.telemetry.metrics`) — the process-wide
-  :class:`MetricsRegistry` of counters, gauges, histograms, and the PR-1
-  cache hit/miss tallies (re-exported through the
-  :mod:`repro.instrumentation` compatibility shim).
+  :class:`MetricsRegistry` of counters, gauges, histograms, and the
+  cache hit/miss tallies of the memoized layers.
 * **exporters** (:mod:`repro.telemetry.export`) — the canonical JSON span
   tree, Chrome trace-event JSON (``chrome://tracing`` / Perfetto), and a
   top-N self-time text summary; surfaced on the CLI as

@@ -8,7 +8,7 @@ library records.  Four metric kinds cover what the hot paths need:
 * :class:`Histogram` — a value distribution with exact percentile math
   (``closure decision latency``);
 * :class:`CacheCounter` — paired hit/miss tallies for one memoized layer
-  (the PR-1 instrumentation counters, now registry-resident).
+  (``one-round-complex[…]``, ``closure.membership``, …).
 
 Naming convention (see docs/OBSERVABILITY.md): lowercase dotted/bracketed
 component paths, e.g. ``faults.campaign.executions`` or
@@ -18,8 +18,7 @@ attach per-span metric *deltas* — the difference between the snapshots
 taken when the span opened and closed.
 
 All recording methods are single attribute updates; fetch the metric once
-(at import, or first use) and keep the reference on the hot path — the
-``repro check`` lint rule RPR003 enforces this for cache counters.
+(at import, or first use) and keep the reference on the hot path.
 """
 
 from __future__ import annotations
@@ -306,6 +305,24 @@ class MetricsRegistry:
             for name, entry in self._caches.items()
         }
 
+    @staticmethod
+    def cache_delta(
+        before: dict[str, tuple[int, int]],
+        after: dict[str, tuple[int, int]],
+    ) -> dict[str, tuple[int, int]]:
+        """Per-cache ``(hits, misses)`` added between two snapshots.
+
+        Caches absent from ``before`` start from zero; caches unchanged
+        between the snapshots are omitted.
+        """
+        changed: dict[str, tuple[int, int]] = {}
+        for name, (hits, misses) in after.items():
+            base_hits, base_misses = before.get(name, (0, 0))
+            step = (hits - base_hits, misses - base_misses)
+            if step != (0, 0):
+                changed[name] = step
+        return changed
+
     def snapshot(self) -> dict[str, float]:
         """Flatten every *cumulative* metric into ``key -> number``.
 
@@ -345,7 +362,7 @@ class MetricsRegistry:
     # Reset
     # ------------------------------------------------------------------
     def reset_caches(self) -> None:
-        """Zero every cache counter (compat with the PR-1 counters)."""
+        """Zero every cache counter."""
         for cache in self._caches.values():
             cache.reset()
 

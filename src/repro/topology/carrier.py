@@ -9,25 +9,25 @@ instead of enforcing it.
 
 Evaluations are memoized under ``(table_id, mask)`` int-pair keys over
 the domain complex's canonical vertex table — the same strict-probe
-discipline as the model memos: the strict
-:meth:`~repro.topology.table.VertexTable.encode_mask` either yields the
-canonical mask or proves the simplex foreign to the domain, and hashing
-two small ints beats re-hashing a vertex tuple on every Δ evaluation.
+discipline as the model memos: :meth:`~repro.topology.table.VertexTable.key`
+either yields the canonical key or proves the simplex foreign to the
+domain, and hashing two small ints beats re-hashing a vertex tuple on
+every Δ evaluation.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Optional
 
-from repro.errors import ChromaticityError, TaskSpecificationError
-from repro.instrumentation import counter
+from repro.errors import TaskSpecificationError
+from repro.telemetry.metrics import default_registry
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.table import VertexTable
 
 __all__ = ["CarrierMap"]
 
-_CARRIER_STATS = counter("carrier.evaluations")
+_CARRIER_STATS = default_registry().cache("carrier.evaluations")
 
 
 class CarrierMap:
@@ -100,9 +100,8 @@ class CarrierMap:
         table = self._table
         if table is None:
             table = self._table = self._domain._ensure_index()[0]
-        try:
-            key = (table.table_id, table.encode_mask(simplex))
-        except ChromaticityError:
+        key = table.key(simplex)
+        if key is None:
             found = self._foreign_cache.get(simplex)
             if found is None:
                 _CARRIER_STATS.miss()

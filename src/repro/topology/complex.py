@@ -26,11 +26,11 @@ The class is immutable: every operation returns a new complex.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import ChromaticityError
-from repro.instrumentation import counter
+from repro.telemetry.metrics import default_registry
 from repro.topology.simplex import Simplex
 from repro.topology.table import (
     VertexTable,
@@ -42,8 +42,10 @@ from repro.topology.vertex import Vertex
 
 __all__ = ["SimplicialComplex"]
 
-_PRUNED_BUILDS = counter("simplicial-complex.pruned-builds")
-_TRUSTED_BUILDS = counter("simplicial-complex.trusted-builds")
+_PRUNED_BUILDS = default_registry().cache("simplicial-complex.pruned-builds")
+_TRUSTED_BUILDS = default_registry().cache(
+    "simplicial-complex.trusted-builds"
+)
 
 
 def _prune_masks(masks: Iterable[int]) -> list[int]:
@@ -429,6 +431,49 @@ class SimplicialComplex:
         except ChromaticityError:
             return False
         return candidate in self
+
+    # ------------------------------------------------------------------
+    # Candidate vertex sets (opaque keys over this complex's table)
+    # ------------------------------------------------------------------
+    def candidate_key(self, simplex: Simplex) -> Optional[int]:
+        """An opaque int key of ``simplex`` as a vertex set of this complex.
+
+        ``None`` when some vertex lies outside ``V(K)``.  The simplex need
+        not belong to the complex.  Keys are only meaningful for this
+        complex (equal complexes share them); :meth:`candidate` turns one
+        back into its simplex.
+        """
+        table, _ = self._ensure_index()
+        try:
+            return table.encode_mask(simplex)
+        except ChromaticityError:
+            return None
+
+    def chromatic_candidates(self, colors: Iterable[int]) -> Iterator[int]:
+        """Keys of every vertex set with exactly one vertex per color.
+
+        Colors are taken in ascending order and each color's vertices in
+        sort order, the last color varying fastest.  Nothing is
+        materialized; :meth:`candidate` decodes the keys worth keeping.
+        """
+        table, _ = self._ensure_index()
+        per_color = [
+            [
+                1 << table.index_of(vertex)
+                for vertex in self.vertices_of_color(color)
+            ]
+            for color in sorted(colors)
+        ]
+        for combo in product(*per_color):
+            key = 0
+            for bit in combo:
+                key |= bit
+            yield key
+
+    def candidate(self, key: int) -> Simplex:
+        """Decode a :meth:`candidate_key`/:meth:`chromatic_candidates` key."""
+        table, _ = self._ensure_index()
+        return table.decode_mask_trusted(key)
 
     def __iter__(self) -> Iterator[Simplex]:
         return iter(self.simplices)

@@ -14,9 +14,8 @@ construction" (ROADMAP item 1's remaining headroom).
 Conventions shared by every kernel:
 
 * a *mask array* is a sequence of facet masks over one table; kernels
-  never mix arrays from different tables (the RPR006 provenance
-  contract — under ``REPRO_SANITIZE=1`` the tagged masks themselves
-  enforce it);
+  never mix arrays from different tables (masks never leave
+  :mod:`repro.topology`, and lint rule RPR006 keeps them there);
 * *vertex graphs* are ``list[int]`` adjacency masks indexed by table
   bit: ``adjacency[i]`` has bit ``j`` set iff vertices ``i`` and ``j``
   share a simplex.  *Facet graphs* use the same shape indexed by
@@ -25,15 +24,16 @@ Conventions shared by every kernel:
   over sequences and bit scans ascend from the low bit, so no set
   iteration order ever leaks (the RPR007 concern);
 * each kernel records one build on a process-wide telemetry counter
-  (:func:`repro.instrumentation.counter`), so cache reports and span
-  metrics show sweep counts next to the cache hit rates.
+  (:meth:`~repro.telemetry.metrics.MetricsRegistry.cache`), so cache
+  reports and span metrics show sweep counts next to the cache hit
+  rates.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from repro.instrumentation import counter
+from repro.telemetry.metrics import default_registry
 from repro.topology.table import popcount
 
 __all__ = [
@@ -54,13 +54,13 @@ __all__ = [
     "bfs_parents",
 ]
 
-_SWEEPS = counter("kernels.popcount-sweeps")
-_FILTERS = counter("kernels.containment-filters")
-_PRODUCTS = counter("kernels.pairwise-products")
-_RIDGE_TABLES = counter("kernels.ridge-tables")
-_ADJACENCY_BUILDS = counter("kernels.adjacency-builds")
-_COMPONENT_SWEEPS = counter("kernels.component-sweeps")
-_BFS_SWEEPS = counter("kernels.bfs-sweeps")
+_SWEEPS = default_registry().cache("kernels.popcount-sweeps")
+_FILTERS = default_registry().cache("kernels.containment-filters")
+_PRODUCTS = default_registry().cache("kernels.pairwise-products")
+_RIDGE_TABLES = default_registry().cache("kernels.ridge-tables")
+_ADJACENCY_BUILDS = default_registry().cache("kernels.adjacency-builds")
+_COMPONENT_SWEEPS = default_registry().cache("kernels.component-sweeps")
+_BFS_SWEEPS = default_registry().cache("kernels.bfs-sweeps")
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ Tables come in two flavours:
 * *growable* tables (the plain constructor) intern vertices on demand via
   :meth:`VertexTable.add` / :meth:`VertexTable.encode_mask_interning`.
   The memoization layer keeps one per model/operator and keys caches by
-  ``(table_id, mask)`` int pairs.
+  the ``(table_id, mask)`` int pairs of :meth:`VertexTable.key` /
+  :meth:`VertexTable.interning_key`, so it never handles a bare mask.
 * *interned* tables (:meth:`VertexTable.interned` /
   :meth:`VertexTable.interned_of`) are frozen and shared process-wide
   through a weak registry keyed by their pair tuple, so equal complexes
@@ -32,10 +33,9 @@ from __future__ import annotations
 
 import weakref
 from itertools import count
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ChromaticityError, ReproError
-from repro.topology import sanitize as _sanitize
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
 
@@ -230,10 +230,7 @@ class VertexTable:
     @property
     def full_mask(self) -> int:
         """The mask with every table bit set."""
-        mask = (1 << len(self._pairs)) - 1
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
-        return mask
+        return (1 << len(self._pairs)) - 1
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -279,8 +276,6 @@ class VertexTable:
                 f"vertex {vertex!r} is not interned in this table; use "
                 "encode_mask_interning on the table-building path"
             ) from None
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
         return mask
 
     def encode_mask_interning(self, simplex: Simplex) -> int:
@@ -293,9 +288,34 @@ class VertexTable:
         mask = 0
         for vertex in simplex.vertices:
             mask |= 1 << self.add(vertex)
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
         return mask
+
+    def key(self, simplex: Simplex) -> Optional[tuple[int, int]]:
+        """The ``(table_id, mask)`` memo key of a simplex, without growth.
+
+        ``None`` when some vertex is not interned here: such a simplex
+        cannot appear in any key this table has handed out, so a cache
+        probe can stop at once.
+        """
+        index = self._index
+        mask = 0
+        for vertex in simplex.vertices:
+            found = index.get(vertex)
+            if found is None:
+                return None
+            mask |= 1 << found
+        return (self._table_id, mask)
+
+    def interning_key(self, simplex: Simplex) -> tuple[int, int]:
+        """The ``(table_id, mask)`` memo key of a simplex, interning as needed.
+
+        The key pairs the mask with this table's process-unique id, so
+        keys from different tables never collide in one cache.
+        """
+        mask = 0
+        for vertex in simplex.vertices:
+            mask |= 1 << self.add(vertex)
+        return (self._table_id, mask)
 
     def colors_mask(self, colors: Iterable[int]) -> int:
         """The mask of every table vertex whose color is in ``colors``."""
@@ -304,14 +324,10 @@ class VertexTable:
         for index, vertex in enumerate(self._vertices):
             if vertex.color in keep:
                 mask |= 1 << index
-        if _sanitize.ACTIVE:
-            return _sanitize.tag(self, mask)
         return mask
 
     def decode_mask(self, mask: int) -> Simplex:
         """Rebuild the simplex whose vertices are the set bits of ``mask``."""
-        if _sanitize.ACTIVE:
-            _sanitize.check_decode(self, mask, "decode_mask")
         if mask <= 0:
             raise ChromaticityError(
                 f"simplex bitmask must be positive, got {mask}"
@@ -339,8 +355,6 @@ class VertexTable:
         Non-chromatic bit sets (forged facets) fall back to the checking
         constructor, which raises exactly as eager materialization did.
         """
-        if _sanitize.ACTIVE:
-            _sanitize.check_decode(self, mask, "decode_mask_trusted")
         vertices = []
         m = mask
         while m:

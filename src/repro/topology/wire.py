@@ -25,6 +25,11 @@ wire form double as a compact, hashable *key* for the memoization layer
 (the parallel engine dedups in-flight expansion work by
 :class:`WireSimplex`), on top of being the pickle payload.
 
+The parallel solver ships constraint components through the same
+table-plus-masks idea (:func:`encode_component`/:func:`decode_component`,
+answers via :func:`encode_choices`/:func:`decode_choices`), so no module
+outside :mod:`repro.topology` ever handles a mask.
+
 ``encode``/``decode`` round-trip exactly (property-tested in
 ``tests/topology/test_wire.py``): the facets of a
 :class:`~repro.topology.complex.SimplicialComplex` are inclusion-maximal
@@ -37,9 +42,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.topology import sanitize as _sanitize
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
 from repro.topology.table import VertexTable
@@ -53,6 +57,11 @@ __all__ = [
     "decode_simplex",
     "encode_complex",
     "decode_complex",
+    "ComponentPayload",
+    "encode_component",
+    "decode_component",
+    "encode_choices",
+    "decode_choices",
     "canonical_bytes",
     "digest_payload",
     "digest_complex",
@@ -109,12 +118,6 @@ def encode_complex(complex_: SimplicialComplex) -> WireComplex:
     tuples.
     """
     table, masks = complex_._ensure_index()
-    if _sanitize.ACTIVE:
-        # Sanitizer hook: the index masks must belong to the index table
-        # (a cross-table mix that slipped into ``_masks`` would otherwise
-        # ship silently and corrupt every consumer of the record).
-        for mask in masks:
-            _sanitize.check_decode(table, mask, "encode_complex")
     return WireComplex(table.pairs, masks)
 
 
@@ -133,11 +136,6 @@ def decode_complex(
     and prunes — non-maximal families.
     """
     table = VertexTable.interned(wire.pairs)
-    if _sanitize.ACTIVE:
-        # Sanitizer hook: records built in-process may still carry tags;
-        # they must be compatible with the interned decode table.
-        for mask in wire.masks:
-            _sanitize.check_decode(table, mask, "decode_complex")
     if check:
         return SimplicialComplex(
             [table.decode_mask(mask) for mask in wire.masks]
@@ -153,6 +151,130 @@ def decode_complex(
                 [table.decode_mask(mask) for mask in wire.masks]
             )
     return SimplicialComplex._from_masks(table, wire.masks)
+
+
+# ----------------------------------------------------------------------
+# Solver components (the parallel decision-map search)
+# ----------------------------------------------------------------------
+#: Wire form of one constraint component of a solvability problem: the
+#: pair table, per-vertex candidate index tuples, constraint (facet mask,
+#: family id) pairs, the deduplicated allowed families as mask tuples,
+#: and the round count.
+ComponentPayload = tuple[
+    tuple[tuple[int, Hashable], ...],
+    tuple[tuple[int, tuple[int, ...]], ...],
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, ...], ...],
+    int,
+]
+
+
+def encode_component(
+    candidates: Mapping[Vertex, Sequence[Vertex]],
+    constraints: Iterable[tuple[Simplex, frozenset[Simplex]]],
+    rounds: int,
+) -> ComponentPayload:
+    """Encode a self-contained sub-problem over one interned pair table.
+
+    Each distinct allowed family is shipped once and referenced by id.
+    """
+    table = VertexTable()
+    families: list[tuple[int, ...]] = []
+    family_ids: dict[frozenset[Simplex], int] = {}
+    encoded_constraints: list[tuple[int, int]] = []
+    for facet, allowed in constraints:
+        family_id = family_ids.get(allowed)
+        if family_id is None:
+            family_id = family_ids[allowed] = len(families)
+            families.append(
+                tuple(
+                    sorted(
+                        table.encode_mask_interning(simplex)
+                        for simplex in allowed
+                    )
+                )
+            )
+        encoded_constraints.append(
+            (table.encode_mask_interning(facet), family_id)
+        )
+    encoded_candidates = tuple(
+        (
+            table.add(vertex),
+            tuple(table.add(option) for option in options),
+        )
+        for vertex, options in candidates.items()
+    )
+    return (
+        table.pairs,
+        encoded_candidates,
+        tuple(encoded_constraints),
+        tuple(families),
+        rounds,
+    )
+
+
+def decode_component(
+    payload: ComponentPayload,
+) -> tuple[
+    dict[Vertex, tuple[Vertex, ...]],
+    list[tuple[Simplex, frozenset[Simplex]]],
+    int,
+]:
+    """Rebuild ``(candidates, constraints, rounds)`` from a payload.
+
+    Candidates come back in the order they were encoded, which is the
+    order :func:`encode_choices` and :func:`decode_choices` rely on.
+    """
+    pairs, encoded_candidates, constraints, families, rounds = payload
+    table = VertexTable(pairs)
+    candidates = {
+        table.vertex_at(index): tuple(
+            table.vertex_at(option) for option in options
+        )
+        for index, options in encoded_candidates
+    }
+    decoded_families = [
+        frozenset(table.decode_mask(mask) for mask in masks)
+        for masks in families
+    ]
+    decoded_constraints = [
+        (table.decode_mask(mask), decoded_families[family_id])
+        for mask, family_id in constraints
+    ]
+    return candidates, decoded_constraints, rounds
+
+
+def encode_choices(
+    candidates: Mapping[Vertex, Sequence[Vertex]],
+    assignment: Mapping[Vertex, Vertex],
+) -> tuple[int, ...]:
+    """A solved component as one option position per candidate vertex.
+
+    ``candidates`` is the mapping :func:`decode_component` returned.
+    """
+    return tuple(
+        options.index(assignment[vertex])
+        for vertex, options in candidates.items()
+    )
+
+
+def decode_choices(
+    payload: ComponentPayload, choices: Sequence[int]
+) -> list[tuple[Vertex, Vertex]]:
+    """The ``(vertex, image)`` pairs of :func:`encode_choices` output.
+
+    Pairs are listed in the payload table's index order.
+    """
+    pairs, encoded_candidates = payload[0], payload[1]
+    table = VertexTable(pairs)
+    chosen = sorted(
+        (index, options[choice])
+        for (index, options), choice in zip(encoded_candidates, choices)
+    )
+    return [
+        (table.vertex_at(index), table.vertex_at(image))
+        for index, image in chosen
+    ]
 
 
 # ----------------------------------------------------------------------

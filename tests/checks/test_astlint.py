@@ -20,7 +20,11 @@ def rule_ids(code, module="repro.experiments.fixture"):
 class TestFramework:
     def test_all_five_rules_registered(self):
         assert sorted(LINT_RULES) == [
-            f"RPR00{i}" for i in range(1, 6)
+            "RPR001",
+            "RPR002",
+            "RPR004",
+            "RPR005",
+            "RPR006",
         ]
 
     def test_syntax_error_reported_not_raised(self):
@@ -119,55 +123,6 @@ class TestRPR002FromMaximal:
         ) == set()
 
 
-class TestRPR003CounterPlacement:
-    def test_counter_in_function_fires(self):
-        assert rule_ids(
-            """
-            from repro.instrumentation import counter
-
-            def hot_path():
-                stats = counter("my-cache")
-                stats.hit()
-            """
-        ) == {"RPR003"}
-
-    def test_module_level_counter_is_fine(self):
-        assert rule_ids(
-            """
-            from repro.instrumentation import counter
-
-            _STATS = counter("my-cache")
-
-            def hot_path():
-                _STATS.hit()
-            """
-        ) == set()
-
-    def test_unrelated_counter_function_ignored(self):
-        # Only fires when `counter` is imported from repro.instrumentation.
-        assert rule_ids(
-            """
-            from collections import Counter as counter
-
-            def tally(items):
-                return counter(items)
-            """
-        ) == set()
-
-    def test_suppression_comment_honored(self):
-        assert rule_ids(
-            """
-            from repro.instrumentation import counter
-
-            class Model:
-                def lazy_init(self):
-                    self._stats = counter(  # norpr: RPR003
-                        "per-instance"
-                    )
-            """
-        ) == set()
-
-
 class TestRPR004ExceptionHygiene:
     def test_bare_except_fires_anywhere(self):
         assert rule_ids(
@@ -258,6 +213,45 @@ class TestRPR005Annotations:
         ) == set()
 
 
+class TestRPR006MaskConfinement:
+    def test_every_mask_api_name_fires_outside_topology(self):
+        findings = lint(
+            """
+            def leak(table, complex_, simplex):
+                table_, masks = complex_._ensure_index()
+                return (
+                    table.table_id,
+                    table.encode_mask(simplex),
+                    table.encode_mask_interning(simplex),
+                    table.decode_mask(1),
+                    table.decode_mask_trusted(1),
+                    table.colors_mask([1]),
+                    table.full_mask,
+                )
+            """
+        )
+        assert [f.rule_id for f in findings] == ["RPR006"] * 8
+
+    def test_topology_modules_may_use_masks(self):
+        assert "RPR006" not in rule_ids(
+            """
+            def encode(table, simplex):
+                return table.encode_mask(simplex), table.table_id
+            """,
+            module="repro.topology.fixture",
+        )
+
+    def test_table_owned_entry_points_are_fine(self):
+        assert rule_ids(
+            """
+            def probe(table, allowed, simplex):
+                key = table.key(simplex)
+                table.interning_key(simplex)
+                return key, allowed.candidate_key(simplex)
+            """
+        ) == set()
+
+
 class TestUnusedSuppressions:
     """Stale ``# norpr:`` comments are themselves findings (RPR000)."""
 
@@ -301,7 +295,7 @@ class TestUnusedSuppressions:
         assert rule_ids(
             """
             def fine(x):
-                return x  # norpr: RPR006
+                return x  # norpr: RPR007
             """
         ) == set()
 

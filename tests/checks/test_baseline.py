@@ -13,13 +13,9 @@ from repro.checks.baseline import (
 )
 from repro.checks.findings import Finding, Severity
 
-MIXING = """\
-from repro.topology import VertexTable
-
-def bad(s1, s2):
-    a = VertexTable()
-    b = VertexTable()
-    return a.encode_mask_interning(s1) | b.encode_mask_interning(s2)
+UNORDERED = """\
+def bad(items):
+    return list(set(items))
 """
 
 
@@ -96,7 +92,7 @@ class TestFlowReportWorkflow:
         self, tmp_path
     ):
         source = tmp_path / "module.py"
-        source.write_text(MIXING)
+        source.write_text(UNORDERED)
         baseline = str(tmp_path / "baseline.json")
 
         recorded = flow_report(
@@ -111,18 +107,16 @@ class TestFlowReportWorkflow:
 
     def test_new_findings_still_gate_after_baselining(self, tmp_path):
         source = tmp_path / "module.py"
-        source.write_text(MIXING)
+        source.write_text(UNORDERED)
         baseline = str(tmp_path / "baseline.json")
         flow_report(
             [str(source)], baseline_path=baseline, update_baseline=True
         )
 
         source.write_text(
-            MIXING
-            + "\ndef worse(s1):\n"
-            "    a = VertexTable()\n"
-            "    b = VertexTable()\n"
-            "    return b.decode_mask(a.encode_mask_interning(s1))\n"
+            UNORDERED
+            + "\ndef worse(items):\n"
+            "    return tuple(frozenset(items))\n"
         )
         gated = flow_report([str(source)], baseline_path=baseline)
         assert not gated.is_clean()
@@ -131,7 +125,7 @@ class TestFlowReportWorkflow:
 
     def test_missing_baseline_file_means_empty_baseline(self, tmp_path):
         source = tmp_path / "module.py"
-        source.write_text(MIXING)
+        source.write_text(UNORDERED)
         report = flow_report(
             [str(source)], baseline_path=str(tmp_path / "absent.json")
         )

@@ -23,9 +23,8 @@ def analyze(code, module="repro.experiments.fixture"):
 
 
 class TestRegistration:
-    def test_all_four_flow_rules_registered(self):
+    def test_all_three_flow_rules_registered(self):
         assert sorted(FLOW_RULES) == [
-            "RPR006",
             "RPR007",
             "RPR008",
             "RPR009",
@@ -45,18 +44,16 @@ class TestErrors:
 
 class TestSuppressions:
     MIX = """
-        from repro.topology import VertexTable
-
-        def bad(s1, s2):
-            a = VertexTable()
-            b = VertexTable()
-            m1 = a.encode_mask_interning(s1)
-            m2 = b.encode_mask_interning(s2)
-            return m1 | m2{suffix}
+        def bad(items):
+            return list(set(items)){suffix}
         """
 
+    def test_flow_finding_fires_unsuppressed(self):
+        findings = analyze(self.MIX.format(suffix=""))
+        assert [f.rule_id for f in findings] == ["RPR007"]
+
     def test_norpr_silences_a_flow_finding(self):
-        assert analyze(self.MIX.format(suffix="  # norpr: RPR006")) == []
+        assert analyze(self.MIX.format(suffix="  # norpr: RPR007")) == []
 
     def test_all_wildcard_silences_too(self):
         assert analyze(self.MIX.format(suffix="  # norpr: all")) == []
@@ -65,12 +62,12 @@ class TestSuppressions:
         findings = analyze(
             """
             def fine(x):
-                return x + 1  # norpr: RPR006
+                return x + 1  # norpr: RPR007
             """
         )
         assert [f.rule_id for f in findings] == ["RPR000"]
         assert findings[0].severity is Severity.WARNING
-        assert "RPR006" in findings[0].message
+        assert "RPR007" in findings[0].message
 
     def test_docstring_example_is_not_a_suppression(self):
         # ``# norpr:`` quoted in a docstring must neither suppress nor
@@ -79,7 +76,7 @@ class TestSuppressions:
             analyze(
                 '''
                 def documented(x):
-                    """Silence with ``# norpr: RPR006`` on the line."""
+                    """Silence with ``# norpr: RPR007`` on the line."""
                     return x
                 '''
             )

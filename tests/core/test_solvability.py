@@ -229,3 +229,72 @@ class TestBudgetRecovery:
                     node_limit=1,
                 )
         assert problem.solve() is not None
+
+
+class TestDeepSearch:
+    """The backtracking search is iterative, so depth is not capped."""
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        import sys
+
+        from repro.core.solvability import SolvabilityProblem
+        from repro.topology import Simplex, Vertex
+
+        length = sys.getrecursionlimit() + 500
+        chain = [Vertex(1 + i % 2, i) for i in range(length)]
+        outputs = {
+            (color, value): Vertex(color, value)
+            for color in (1, 2)
+            for value in ("a", "b")
+        }
+        # Neighbours must agree: a consistent labelling exists, and
+        # with both values in every domain the search descends through
+        # the whole chain as one component.
+        allowed = frozenset(
+            face
+            for value in ("a", "b")
+            for face in Simplex(
+                [outputs[1, value], outputs[2, value]]
+            ).faces()
+        )
+        candidates = {
+            vertex: (outputs[vertex.color, "a"], outputs[vertex.color, "b"])
+            for vertex in chain
+        }
+        constraints = [
+            (Simplex([chain[i], chain[i + 1]]), allowed)
+            for i in range(length - 1)
+        ]
+        problem = SolvabilityProblem(candidates, constraints)
+        decision = problem.solve()
+        assert decision is not None
+        assert problem.last_search_nodes == length
+        assert {image.value for image in decision.assignment.values()} == {
+            "a"
+        }
+
+    def test_node_counts_match_the_recursive_search(self, iis):
+        # Pinned from the recursive implementation: the explicit-stack
+        # loop visits the same nodes in the same order.
+        task = approximate_agreement_task([1, 2, 3], F(1, 2), 2)
+        operator = ProtocolOperator(iis)
+        problem = build_solvability_problem(
+            list(task.input_complex),
+            task.delta,
+            lambda sigma: operator.of_simplex(sigma, 1),
+            rounds=1,
+        )
+        assert problem.solve() is not None
+        assert problem.last_search_nodes == 90
+        assert (
+            problem.solve(use_propagation=False, use_components=False)
+            is not None
+        )
+        assert problem.last_search_nodes == 141
+
+    def test_quarter_aa_three_processes_two_rounds_is_solvable(self, iis):
+        # Corollary 3's tight bound for n = 3: ⌈log₂ 4⌉ = 2 rounds.  One
+        # constraint component has over a thousand free vertices, which
+        # overflowed the stack of a recursive search.
+        task = approximate_agreement_task([1, 2, 3], F(1, 4), 4)
+        assert is_solvable(task, iis, 2)

@@ -1,13 +1,15 @@
 """The model-level memoization layer (one-round complexes, view maps)."""
 
-from repro.instrumentation import counter, counters_delta, counters_snapshot
 from repro.models import (
     CollectModel,
     ImmediateSnapshotModel,
     ProtocolOperator,
     SnapshotModel,
 )
+from repro.telemetry import default_registry
 from repro.topology import Simplex
+
+REGISTRY = default_registry()
 
 
 def triangle():
@@ -34,9 +36,9 @@ class TestOneRoundMemo:
         sigma = triangle()
         ProtocolOperator(iis).of_simplex(sigma, 1)
         name = f"one-round-complex[{iis.name}]"
-        before = counters_snapshot()
+        before = REGISTRY.cache_snapshot()
         ProtocolOperator(iis).of_simplex(sigma, 1)
-        delta = counters_delta(before, counters_snapshot())
+        delta = REGISTRY.cache_delta(before, REGISTRY.cache_snapshot())
         hits, misses = delta.get(name, (0, 0))
         assert misses == 0
         assert hits > 0
@@ -66,15 +68,15 @@ class TestViewMapMemo:
 
 class TestCounterPlumbing:
     def test_counter_is_a_process_wide_singleton(self):
-        a = counter("test-caching.sample")
-        b = counter("test-caching.sample")
+        a = REGISTRY.cache("test-caching.sample")
+        b = REGISTRY.cache("test-caching.sample")
         assert a is b
 
     def test_counters_delta_omits_unchanged(self):
-        sample = counter("test-caching.delta")
-        before = counters_snapshot()
-        delta = counters_delta(before, counters_snapshot())
+        sample = REGISTRY.cache("test-caching.delta")
+        before = REGISTRY.cache_snapshot()
+        delta = REGISTRY.cache_delta(before, REGISTRY.cache_snapshot())
         assert "test-caching.delta" not in delta
         sample.hit()
-        delta = counters_delta(before, counters_snapshot())
+        delta = REGISTRY.cache_delta(before, REGISTRY.cache_snapshot())
         assert delta["test-caching.delta"] == (1, 0)

@@ -137,24 +137,13 @@ class TestRegistry:
         assert registry.cache("c").misses == 0
 
 
-class TestInstrumentationShim:
-    def test_counter_is_registry_resident(self):
-        from repro.instrumentation import counter
-        from repro.telemetry import default_registry
-
-        tally = counter("test-shim.sample")
-        assert tally is default_registry().cache("test-shim.sample")
-
-    def test_snapshot_delta_shape_unchanged(self):
-        from repro.instrumentation import (
-            counter,
-            counters_delta,
-            counters_snapshot,
-        )
-
-        tally = counter("test-shim.delta")
-        before = counters_snapshot()
+class TestCacheSnapshots:
+    def test_cache_delta_reports_only_changed_caches(self):
+        registry = MetricsRegistry()
+        tally = registry.cache("delta")
+        registry.cache("idle")
+        before = registry.cache_snapshot()
         tally.hit()
         tally.miss()
-        delta = counters_delta(before, counters_snapshot())
-        assert delta["test-shim.delta"] == (1, 1)
+        delta = registry.cache_delta(before, registry.cache_snapshot())
+        assert delta == {"delta": (1, 1)}

@@ -19,6 +19,12 @@ from repro.topology import (
     encode_complex,
     encode_simplex,
 )
+from repro.topology.wire import (
+    decode_choices,
+    decode_component,
+    encode_choices,
+    encode_component,
+)
 
 colors = st.integers(min_value=1, max_value=5)
 values = st.one_of(
@@ -88,7 +94,40 @@ class TestComplexRoundTrip:
         assert decode_complex(wire) == empty
 
 
+class TestComponentRoundTrip:
+    def test_component_and_choices_round_trip(self):
+        u, v = Vertex(1, "u"), Vertex(2, "v")
+        outputs = [Vertex(1, 0), Vertex(1, 1), Vertex(2, 0)]
+        allowed = frozenset(
+            SimplicialComplex([Simplex([outputs[1], outputs[2]])])
+        )
+        candidates = {u: (outputs[0], outputs[1]), v: (outputs[2],)}
+        constraints = [(Simplex([u, v]), allowed)]
+
+        payload = encode_component(candidates, constraints, 1)
+        decoded, decoded_constraints, rounds = decode_component(payload)
+        assert decoded == candidates
+        assert list(decoded) == list(candidates)
+        assert decoded_constraints == constraints
+        assert rounds == 1
+
+        chosen = {u: outputs[1], v: outputs[2]}
+        choices = encode_choices(decoded, chosen)
+        assert choices == (1, 0)
+        assert dict(decode_choices(payload, choices)) == chosen
+
+
 class TestVertexTable:
+    def test_memo_keys_pair_the_table_id_with_the_mask(self):
+        table = VertexTable()
+        simplex = Simplex([(1, "a"), (2, "b")])
+        assert table.key(simplex) is None
+        assert len(table) == 0  # a probe never grows the table
+        key = table.interning_key(simplex)
+        assert key == (table.table_id, 0b11)
+        assert table.key(simplex) == key
+        assert VertexTable().interning_key(simplex) != key
+
     @given(st.lists(st.tuples(colors, values), min_size=1, max_size=6))
     def test_interning_is_idempotent(self, pairs):
         table = VertexTable()
