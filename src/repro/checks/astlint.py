@@ -29,16 +29,28 @@ RPR006    the bitmask API (``encode_mask*``, ``decode_mask*``,
           ``table_id``) is used only inside ``repro.topology`` — a mask
           is meaningful only against the table that encoded it, so
           masks never leave the package that owns the tables
+RPR007    determinism — unordered ``set``/``frozenset`` iteration never
+          feeds order-sensitive outputs: ``list``/``tuple``/
+          ``enumerate`` materialization, ``str.join``, list
+          comprehensions, or append/yield fold loops.  Decided per
+          scope: a name is unordered if *any* assignment in its
+          function binds it to a set, so a set on one ``if`` arm is
+          caught even when the other arm sorts
+RPR008    pure-path hygiene — ``repro.core``/``repro.topology`` never
+          reach unseeded ``random``, wall-clock time, or ``id()``-keyed
+          ordering
+RPR009    worker purity — functions shipped through ``parallel_map``,
+          ``supervised_map`` (function and ``fallback=``) or executor
+          ``submit``/``map`` pickle cleanly (no lambdas, no nested
+          functions), do not mutate module globals, and do not read
+          ambient worker-count configuration
 ========  ============================================================
 
 Suppression: append ``# norpr: RPR004`` (comma-separate several ids, or
 ``all``) to the offending line.  Suppressions are deliberate, reviewable
-exemptions.  A suppression that suppresses *nothing* (a
-stale or misspelled id, or no finding left on that line) is itself
-reported as RPR000 so exemptions cannot rot silently; ids owned by the
-flow engine (:mod:`repro.checks.flow` registers them in
-:data:`EXTERNAL_RPR_IDS`) are judged by that engine, and the ``all``
-wildcard is exempt from staleness because it may cover either engine.
+exemptions.  A suppression that suppresses *nothing* (a stale or
+misspelled id, an ``all`` with no finding left on that line) is itself
+reported as RPR000 so exemptions cannot rot silently.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ from typing import (
     Iterator,
     Optional,
     Sequence,
+    Union,
 )
 
 from repro.checks.findings import Finding, Severity
@@ -67,12 +80,6 @@ __all__ = [
 ]
 
 _SUPPRESSION = re.compile(r"#\s*norpr:\s*([A-Za-z0-9_,\s]+)")
-
-#: Rule ids owned by other engines sharing the ``# norpr:`` syntax (the
-#: flow engine registers RPR007–RPR009 here on import).  The lint's
-#: unused-suppression pass leaves these ids to their owner instead of
-#: reporting them as unknown.
-EXTERNAL_RPR_IDS: set[str] = set()
 
 #: Internal attributes of the interned value objects, keyed by the module
 #: allowed to assign them.
@@ -99,6 +106,11 @@ _HOT_PACKAGES: frozenset[tuple[str, str]] = frozenset(
         ("repro", "topology"),
         ("repro", "parallel"),
     }
+)
+
+#: Packages whose pure paths ban ambient nondeterminism (RPR008).
+_PURE_PACKAGES: frozenset[tuple[str, str]] = frozenset(
+    {("repro", "core"), ("repro", "topology")}
 )
 
 #: The bitmask API: masks are meaningful only against the VertexTable
@@ -131,6 +143,9 @@ class LintContext:
 
     def in_hot_package(self) -> bool:
         return self.module_parts[:2] in _HOT_PACKAGES
+
+    def in_pure_package(self) -> bool:
+        return self.module_parts[:2] in _PURE_PACKAGES
 
     def suppressed(self, line: int, rule_id: str) -> bool:
         active = self.suppressions.get(line)
@@ -264,22 +279,14 @@ def lint_source(
 def _unused_suppressions(
     context: LintContext, used: set[tuple[int, str]]
 ) -> Iterator[Finding]:
-    """RPR000 findings for suppressions that suppressed nothing.
-
-    The lint owns its own rule ids plus any id no engine claims; ids in
-    :data:`EXTERNAL_RPR_IDS` belong to the flow engine, which runs its
-    own staleness pass, and the ``all`` wildcard is exempt because it
-    may legitimately cover the other engine's findings.
-    """
+    """RPR000 findings for suppressions that suppressed nothing."""
     for line, ids in sorted(context.suppressions.items()):
         for rule_id in sorted(ids):
-            if rule_id == "all" or rule_id in EXTERNAL_RPR_IDS:
-                continue
             if (line, rule_id) in used:
                 continue
             reason = (
                 "suppresses no finding on this line"
-                if rule_id in LINT_RULES
+                if rule_id in LINT_RULES or rule_id == "all"
                 else "names a rule id no engine defines"
             )
             yield Finding(
@@ -297,7 +304,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
         root = Path(entry)
         if root.is_dir():
             yield from sorted(root.rglob("*.py"))
-        elif root.suffix == ".py":
+        elif root.suffix == ".py" and root.is_file():
             yield root
 
 
@@ -504,3 +511,475 @@ def check_mask_confinement(context: LintContext) -> Iterator[Finding]:
                 "SimplicialComplex.candidate_key, the repro.topology.wire "
                 "codecs) instead",
             )
+
+
+# ----------------------------------------------------------------------
+# Scope walking and name resolution shared by RPR007–RPR009
+# ----------------------------------------------------------------------
+#: A node that owns a frame: its body's bindings are its own.
+_Scope = Union[
+    ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+]
+
+
+def _scopes(tree: ast.Module) -> Iterator[_Scope]:
+    """The module plus every function and class: each owns a frame."""
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            yield node
+
+
+def _scope_nodes(scope: _Scope) -> Iterator[ast.AST]:
+    """Every node evaluated in ``scope``'s own frame.
+
+    Nested function and class bodies are scopes of their own: only
+    their decorators, defaults and bases run in the enclosing frame.
+    Lambdas and comprehensions stay part of the frame they appear in.
+    """
+    todo: list[ast.AST] = list(scope.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(node.decorator_list)
+            todo.extend(node.args.defaults)
+            todo.extend(d for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef):
+            todo.extend(node.decorator_list)
+            todo.extend(node.bases)
+            todo.extend(keyword.value for keyword in node.keywords)
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a pure Name/Attribute chain, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _imports(tree: ast.Module) -> dict[str, str]:
+    """Local name -> dotted import target (``shuffle`` -> ``random.shuffle``)."""
+    imports: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.partition(".")[0]
+                imports[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                imports[local] = f"{node.module}.{alias.name}"
+    return imports
+
+
+def _resolve_call(imports: dict[str, str], node: ast.Call) -> Optional[str]:
+    """The dotted import target of a call (``random.shuffle``), or ``None``."""
+    dotted = _dotted_name(node.func)
+    if dotted is None:
+        return None
+    head, _, rest = dotted.partition(".")
+    target = imports.get(head)
+    if target is None:
+        return None
+    return f"{target}.{rest}" if rest else target
+
+
+# ----------------------------------------------------------------------
+# RPR007 — unordered iteration never feeds ordered outputs
+# ----------------------------------------------------------------------
+# set/frozenset iteration order is undefined across interpreters (it
+# hashes pointers for non-trivial elements).  sorted(...) is the
+# sanctioned laundering step.  Plain dicts are not flagged: they iterate
+# in insertion order, a language guarantee since 3.7.
+
+#: Builtins that materialize their argument's iteration order.
+_ORDER_CONSUMERS = frozenset({"list", "tuple", "enumerate"})
+
+#: Accumulator methods that make a loop body order-sensitive.
+_ACCUMULATORS = frozenset({"append", "extend", "insert"})
+
+#: Set-algebra methods that keep a set unordered.
+_SET_METHODS = frozenset(
+    {"union", "intersection", "difference", "symmetric_difference", "copy"}
+)
+
+_SET_OPERATORS = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
+
+
+def _is_unordered(node: ast.AST, names: frozenset[str]) -> bool:
+    """Is ``node`` a set/frozenset, given the scope's unordered names?"""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        function = node.func
+        if isinstance(function, ast.Name):
+            return function.id in ("set", "frozenset")
+        return (
+            isinstance(function, ast.Attribute)
+            and function.attr in _SET_METHODS
+            and _is_unordered(function.value, names)
+        )
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _SET_OPERATORS) and (
+            _is_unordered(node.left, names)
+            or _is_unordered(node.right, names)
+        )
+    if isinstance(node, ast.BoolOp):
+        return all(_is_unordered(value, names) for value in node.values)
+    if isinstance(node, ast.IfExp):
+        return _is_unordered(node.body, names) and _is_unordered(
+            node.orelse, names
+        )
+    if isinstance(node, (ast.NamedExpr, ast.Starred, ast.Await)):
+        return _is_unordered(node.value, names)
+    return False
+
+
+def _unordered_names(nodes: Sequence[ast.AST]) -> frozenset[str]:
+    """Names that *any* assignment in the scope binds to a set."""
+    bindings: list[tuple[list[str], ast.expr]] = []
+    for node in nodes:
+        targets: list[ast.expr]
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if names:
+            bindings.append((names, value))
+    unordered: frozenset[str] = frozenset()
+    changed = True
+    while changed:
+        changed = False
+        for names, value in bindings:
+            if not unordered.issuperset(names) and _is_unordered(
+                value, unordered
+            ):
+                unordered = unordered.union(names)
+                changed = True
+    return unordered
+
+
+def _order_sensitive_body(loop: Union[ast.For, ast.AsyncFor]) -> bool:
+    """Does the loop body append/extend/insert or ``yield``?"""
+    for statement in loop.body:
+        for node in ast.walk(statement):
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                return True
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _ACCUMULATORS
+            ):
+                return True
+    return False
+
+
+def _order_consumer(node: ast.Call) -> Optional[str]:
+    """``list``/``tuple``/``enumerate``/``join`` when ``node`` is one."""
+    if not node.args:
+        return None
+    function = node.func
+    if isinstance(function, ast.Name) and function.id in _ORDER_CONSUMERS:
+        return function.id
+    if isinstance(function, ast.Attribute) and function.attr == "join":
+        return "join"
+    return None
+
+
+@lint_rule("RPR007", "unordered iteration must not feed ordered outputs")
+def check_unordered_iteration(context: LintContext) -> Iterator[Finding]:
+    for scope in _scopes(context.tree):
+        nodes = list(_scope_nodes(scope))
+        unordered = _unordered_names(nodes)
+        for node in nodes:
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                if _is_unordered(
+                    node.iter, unordered
+                ) and _order_sensitive_body(node):
+                    yield Finding(
+                        "RPR007",
+                        Severity.ERROR,
+                        _location(context, node),
+                        "loop over a set feeds an ordered accumulator "
+                        "(append/extend/yield); set iteration order is "
+                        "undefined — iterate sorted(...) instead",
+                    )
+            elif isinstance(node, ast.ListComp):
+                for generator in node.generators:
+                    if _is_unordered(generator.iter, unordered):
+                        yield Finding(
+                            "RPR007",
+                            Severity.ERROR,
+                            _location(context, node),
+                            "list comprehension over a set bakes "
+                            "undefined iteration order into an ordered "
+                            "result; iterate sorted(...) instead",
+                        )
+            elif isinstance(node, ast.Call):
+                consumer = _order_consumer(node)
+                if consumer and _is_unordered(node.args[0], unordered):
+                    yield Finding(
+                        "RPR007",
+                        Severity.ERROR,
+                        _location(context, node),
+                        f"{consumer}() materializes a set's undefined "
+                        "iteration order into an ordered output; wrap "
+                        "the set in sorted(...) first",
+                    )
+
+
+# ----------------------------------------------------------------------
+# RPR008 — no ambient nondeterminism on pure paths
+# ----------------------------------------------------------------------
+# Seeded random.Random(seed) instances are allowed: determinism comes
+# from the seed, not from avoiding randomness.
+
+#: Wall-clock reads banned from pure paths.
+_WALLCLOCK = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.date.today",
+    }
+)
+
+
+def _is_id_keyed_sort(node: ast.Call) -> bool:
+    function = node.func
+    is_sort = (
+        isinstance(function, ast.Name)
+        and function.id in ("sorted", "min", "max")
+    ) or (isinstance(function, ast.Attribute) and function.attr == "sort")
+    return is_sort and any(
+        keyword.arg == "key"
+        and isinstance(keyword.value, ast.Name)
+        and keyword.value.id == "id"
+        for keyword in node.keywords
+    )
+
+
+@lint_rule("RPR008", "pure paths are free of ambient nondeterminism")
+def check_pure_paths(context: LintContext) -> Iterator[Finding]:
+    if not context.in_pure_package():
+        return
+    imports = _imports(context.tree)
+    for node in ast.walk(context.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = _resolve_call(imports, node)
+        if target is not None:
+            if target.startswith("random.") and target != "random.Random":
+                yield Finding(
+                    "RPR008",
+                    Severity.ERROR,
+                    _location(context, node),
+                    f"{target}() drives the unseeded module-level RNG "
+                    "on a pure path; pass a seeded random.Random "
+                    "instance instead",
+                )
+                continue
+            if target in _WALLCLOCK:
+                yield Finding(
+                    "RPR008",
+                    Severity.ERROR,
+                    _location(context, node),
+                    f"{target}() reads the wall clock on a pure path; "
+                    "results must depend on inputs only",
+                )
+                continue
+        if _is_id_keyed_sort(node):
+            yield Finding(
+                "RPR008",
+                Severity.ERROR,
+                _location(context, node),
+                "ordering by key=id sorts by memory address, which "
+                "varies run to run; order by a value-derived key",
+            )
+
+
+# ----------------------------------------------------------------------
+# RPR009 — functions shipped to pool workers stay pure
+# ----------------------------------------------------------------------
+# parallel_map, supervised_map (its function and its fallback= retry
+# callback) and raw executor submit/map pickle the callable by reference
+# and run it in a child process.  Lambdas and nested functions cannot be
+# pickled that way; a write to a module global lands in the child and is
+# lost; a worker-count read sees the child's (serial) configuration.
+# Names imported from other modules are left alone: the rule reports
+# only what the module itself proves.
+
+#: Fan-out entry points taking the shipped callable first.
+_SHIP_FUNCTIONS = frozenset({"parallel_map", "supervised_map"})
+
+#: Entry points that additionally ship selected keyword arguments to
+#: workers (the supervisor pickles ``fallback`` into attempt payloads).
+_SHIP_KEYWORDS: dict[str, frozenset[str]] = {
+    "supervised_map": frozenset({"fallback"}),
+}
+
+#: Executor methods taking the shipped callable first; only receivers
+#: whose name mentions a pool/executor count, so unrelated ``submit``
+#: methods are not swept in.
+_SHIP_METHODS = frozenset({"submit", "map"})
+
+#: Worker-count configuration the child must not consult.
+_AMBIENT_CALLS = frozenset({"resolve_workers", "get_default_workers"})
+
+
+def _shipped_arguments(node: ast.Call) -> list[ast.expr]:
+    """Every expression this call pickles into worker processes."""
+    function = node.func
+    if not node.args:
+        return []
+    if isinstance(function, ast.Name) and function.id in _SHIP_FUNCTIONS:
+        keywords = _SHIP_KEYWORDS.get(function.id, frozenset())
+        return [node.args[0]] + [
+            keyword.value
+            for keyword in node.keywords
+            if keyword.arg in keywords
+        ]
+    if isinstance(function, ast.Attribute) and function.attr in _SHIP_METHODS:
+        receiver = (_dotted_name(function.value) or "").lower()
+        if "pool" in receiver or "executor" in receiver:
+            return [node.args[0]]
+    return []
+
+
+def _defines_locally(scope: _Scope, name: str) -> bool:
+    """Is ``name`` a function defined inside the function ``scope``?"""
+    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    return any(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node is not scope
+        and node.name == name
+        for node in ast.walk(scope)
+    )
+
+
+def _global_mutations(worker: ast.FunctionDef) -> Iterator[str]:
+    declared: set[str] = set()
+    for node in ast.walk(worker):
+        if isinstance(node, ast.Global):
+            declared.update(node.names)
+    if not declared:
+        return
+    for node in ast.walk(worker):
+        targets: list[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id in declared:
+                yield target.id
+
+
+def _ambient_reads(worker: ast.FunctionDef) -> Iterator[str]:
+    for node in ast.walk(worker):
+        if isinstance(node, ast.Call):
+            dotted = _dotted_name(node.func) or ""
+            tail = dotted.rpartition(".")[2]
+            if tail in _AMBIENT_CALLS:
+                yield f"{tail}()"
+        elif (
+            isinstance(node, ast.Constant)
+            and node.value == "REPRO_WORKERS"
+        ):
+            yield '"REPRO_WORKERS"'
+        elif isinstance(node, ast.Name) and node.id == "WORKERS_ENV":
+            yield "WORKERS_ENV"
+
+
+def _audit_shipped(
+    context: LintContext,
+    scope: _Scope,
+    functions: dict[str, ast.FunctionDef],
+    node: ast.Call,
+    shipped: ast.expr,
+) -> Iterator[Finding]:
+    """Findings for one expression pickled into workers by ``node``."""
+    location = _location(context, node)
+    if isinstance(shipped, ast.Lambda):
+        yield Finding(
+            "RPR009",
+            Severity.ERROR,
+            location,
+            "a lambda cannot be pickled by reference and will "
+            "fail (only) at worker counts > 1; ship a module-"
+            "level function",
+        )
+        return
+    if not isinstance(shipped, ast.Name):
+        return
+    name = shipped.id
+    if _defines_locally(scope, name):
+        yield Finding(
+            "RPR009",
+            Severity.ERROR,
+            location,
+            f"nested function {name!r} closes over local state "
+            "and cannot be pickled by reference; hoist it to "
+            "module level and pass state through the payload",
+        )
+        return
+    worker = functions.get(name)
+    if worker is None:
+        return
+    for mutated in sorted(set(_global_mutations(worker))):
+        yield Finding(
+            "RPR009",
+            Severity.ERROR,
+            location,
+            f"shipped function {name!r} mutates module global "
+            f"{mutated!r}; the write lands in the child process "
+            "and is silently lost — return the value through "
+            "the result instead",
+        )
+    for read in sorted(set(_ambient_reads(worker))):
+        yield Finding(
+            "RPR009",
+            Severity.ERROR,
+            location,
+            f"shipped function {name!r} reads ambient worker "
+            f"configuration ({read}); workers are pinned to "
+            "serial, so this sees the child's config, not the "
+            "caller's — pass the value through the payload",
+        )
+
+
+@lint_rule("RPR009", "functions shipped to workers stay pure")
+def check_worker_purity(context: LintContext) -> Iterator[Finding]:
+    functions = {
+        node.name: node
+        for node in context.tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for scope in _scopes(context.tree):
+        for node in _scope_nodes(scope):
+            if isinstance(node, ast.Call):
+                for shipped in _shipped_arguments(node):
+                    yield from _audit_shipped(
+                        context, scope, functions, node, shipped
+                    )

@@ -114,10 +114,9 @@ def _path_key(path: str) -> tuple[str, int]:
 def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
     """Order findings by path, line, then rule id — deterministically.
 
-    This is the one ordering every reporter and the baseline file use,
-    so text output, JSON output, and CI diffs are stable across runs
-    and across engines (severity breaks ties only after location and
-    rule, worst first).
+    This is the one ordering every reporter uses, so text output, JSON
+    output, and CI diffs are stable across runs (severity breaks ties
+    only after location and rule, worst first).
     """
     return sorted(
         findings,

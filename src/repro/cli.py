@@ -9,7 +9,6 @@ Exposes the library's headline computations without writing Python::
     repro run halving --eps 1/8 --inputs 0,1/2,1 --seed 7 --crash 0.2
     repro check --all                 # audit every experiment's invariants
     repro check --lint src/           # repo-specific AST lint (RPR rules)
-    repro check --flow                # flow analysis (determinism, …)
     repro chaos --algorithm aa --model iis -n 3 --executions 2000 --seed 0
     repro chaos --replay trace.json --shrink
     repro chaos --workers 2 --retries 2 --inject-exec-faults 0 --json
@@ -283,7 +282,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.checks import (
         audit_all,
         audit_experiments,
-        flow_report,
         lint_report,
         parse_severity,
         render_json,
@@ -299,15 +297,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     reports = []
     if args.lint:
         reports.append(lint_report(args.lint))
-    if args.flow is not None or args.update_baseline:
-        flow_paths = args.flow or ["src/repro"]
-        reports.append(
-            flow_report(
-                flow_paths,
-                baseline_path=args.baseline,
-                update_baseline=args.update_baseline,
-            )
-        )
     if args.trace_paths:
         reports.append(trace_report(args.trace_paths))
     if args.all:
@@ -645,10 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Audit the library's structural invariants over the experiment "
             "registry's live objects (chromaticity, facet maximality, "
             "carrier monotonicity, schedule matrix conditions, memo "
-            "coherence, task/closure well-formedness), run the "
-            "repo-specific AST lint (RPR001, RPR002, RPR004–RPR006), "
-            "and/or run the flow-sensitive analysis (RPR007–RPR009: "
-            "determinism, worker purity) with its committed baseline."
+            "coherence, task/closure well-formedness), and/or run the "
+            "repo-specific AST lint (RPR001, RPR002, "
+            "RPR004–RPR009: interning, from_maximal, exception hygiene, "
+            "annotations, mask confinement, determinism, worker purity)."
         ),
     )
     p.add_argument(
@@ -666,29 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lint",
         nargs="+",
         metavar="PATH",
-        help="lint the given files/directories with the RPR rules",
-    )
-    p.add_argument(
-        "--flow",
-        nargs="*",
-        metavar="PATH",
-        default=None,
-        help="run the flow-sensitive analysis (RPR007–RPR009: "
-        "determinism, worker purity) over the given files/directories "
-        "(default: src/repro)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=".repro-flow-baseline.json",
-        help="baseline file of grandfathered flow findings "
-        "(default: .repro-flow-baseline.json; missing file = empty)",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the current flow findings into the baseline file "
-        "and report clean (implies --flow)",
+        help="lint the given files/directories with every RPR rule "
+        "(RPR001, RPR002, RPR004–RPR009); a path with no .py file fails",
     )
     p.add_argument(
         "--format",

@@ -18,13 +18,16 @@ def rule_ids(code, module="repro.experiments.fixture"):
 
 
 class TestFramework:
-    def test_all_five_rules_registered(self):
+    def test_every_rpr_rule_registered(self):
         assert sorted(LINT_RULES) == [
             "RPR001",
             "RPR002",
             "RPR004",
             "RPR005",
             "RPR006",
+            "RPR007",
+            "RPR008",
+            "RPR009",
         ]
 
     def test_syntax_error_reported_not_raised(self):
@@ -264,8 +267,6 @@ class TestUnusedSuppressions:
     """
 
     def test_used_suppression_is_not_reported(self):
-        import repro.checks.flow  # noqa: F401  (populates EXTERNAL_RPR_IDS)
-
         code = self.BARE.replace("except:", "except:  # norpr: RPR004")
         assert rule_ids(code) == set()
 
@@ -289,23 +290,15 @@ class TestUnusedSuppressions:
         assert [f.rule_id for f in findings] == ["RPR000"]
         assert "no engine defines" in findings[0].message
 
-    def test_flow_owned_ids_are_left_to_the_flow_engine(self):
-        import repro.checks.flow  # noqa: F401
-
-        assert rule_ids(
-            """
-            def fine(x):
-                return x  # norpr: RPR007
-            """
-        ) == set()
-
-    def test_all_wildcard_is_exempt_from_staleness(self):
-        assert rule_ids(
+    def test_stale_all_wildcard_is_reported(self):
+        findings = lint(
             """
             def fine(x):
                 return x  # norpr: all
             """
-        ) == set()
+        )
+        assert [f.rule_id for f in findings] == ["RPR000"]
+        assert "`# norpr: all` suppresses no finding" in findings[0].message
 
     def test_docstring_example_is_not_a_suppression(self):
         assert rule_ids(

@@ -67,6 +67,18 @@ class TestLintScope:
         (clean / "ok.py").write_text("X = 1\n")
         assert main(["check", "--lint", str(clean)]) == 0
 
+    def test_missing_path_fails(self, tmp_path, capsys):
+        missing = tmp_path / "srcc"
+        assert main(["check", "--lint", str(missing)]) == 1
+        out = capsys.readouterr().out
+        assert "RPR000" in out
+        assert "nothing to lint" in out
+
+    def test_path_without_python_files_fails(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no code here\n")
+        assert main(["check", "--lint", str(tmp_path)]) == 1
+        assert "RPR000" in capsys.readouterr().out
+
     def test_invalid_fail_on_rejected(self):
         try:
             main(["check", "--fail-on", "fatal"])

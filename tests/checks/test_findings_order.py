@@ -1,4 +1,4 @@
-"""Deterministic finding order across reporters and engines."""
+"""Deterministic finding order across reporters."""
 
 import json
 
@@ -21,9 +21,9 @@ class TestSortFindings:
         assert sort_findings([b, a]) == [a, b]
 
     def test_rule_id_breaks_location_ties(self):
-        lint = finding("src/x.py:3", rule="RPR004")
-        flow = finding("src/x.py:3", rule="RPR006")
-        assert sort_findings([flow, lint]) == [lint, flow]
+        early = finding("src/x.py:3", rule="RPR004")
+        late = finding("src/x.py:3", rule="RPR006")
+        assert sort_findings([late, early]) == [early, late]
 
     def test_worst_severity_first_within_a_rule(self):
         warn = finding("src/x.py:3", severity=Severity.WARNING)
@@ -75,16 +75,11 @@ class TestReportersUseTheOrder:
             "src/x.py:10",
         ]
 
-    def test_json_carries_flow_counters(self):
+    def test_json_carries_file_counters(self):
         document = json.loads(
             render_json(
-                CheckReport(
-                    scope="flow[src]",
-                    findings=(),
-                    files_analyzed=7,
-                    baselined=2,
-                )
+                CheckReport(scope="lint[src]", findings=(), files_linted=7)
             )
         )
-        assert document["files_analyzed"] == 7
-        assert document["baselined"] == 2
+        assert document["files_linted"] == 7
+        assert "baselined" not in document

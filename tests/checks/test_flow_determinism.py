@@ -2,15 +2,18 @@
 
 import textwrap
 
-from repro.checks.flow import analyze_source
+from repro.checks import lint_source
 
 
 def rule_ids(code, module="repro.experiments.fixture"):
+    # The fixtures are deliberately unannotated; RPR005 (annotations in
+    # the proof core) has its own tests in test_astlint.py.
     return [
         f.rule_id
-        for f in analyze_source(
+        for f in lint_source(
             textwrap.dedent(code), path="fixture.py", module=module
         )
+        if f.rule_id != "RPR005"
     ]
 
 
@@ -98,6 +101,66 @@ class TestRPR007UnorderedFlow:
                     for item in set(items):
                         total += item
                     return total
+                """
+            )
+            == []
+        )
+
+
+class TestRPR007ScopeWide:
+    """A name is unordered if *any* assignment in its scope binds a set."""
+
+    def test_set_on_one_if_arm_fires(self):
+        # The other arm sorts, but the set arm still reaches list().
+        assert rule_ids(
+            """
+            def bad(items, flag):
+                if flag:
+                    s = set(items)
+                else:
+                    s = sorted(items)
+                return list(s)
+            """
+        ) == ["RPR007"]
+
+    def test_set_rebound_to_sorted_fires(self):
+        assert rule_ids(
+            """
+            def strict(items):
+                s = set(items)
+                s = sorted(s)
+                return list(s)
+            """
+        ) == ["RPR007"]
+
+    def test_use_before_rebinding_to_a_set_fires(self):
+        assert rule_ids(
+            """
+            def strict(items):
+                out = list(s)
+                s = set(items)
+                return out, s
+            """
+        ) == ["RPR007"]
+
+    def test_parameter_used_before_rebinding_to_a_set_fires(self):
+        assert rule_ids(
+            """
+            def strict(s):
+                out = list(s)
+                s = set(s)
+                return out, s
+            """
+        ) == ["RPR007"]
+
+    def test_bindings_do_not_leak_across_scopes(self):
+        assert (
+            rule_ids(
+                """
+                s = set()
+
+                def good(s):
+                    return list(s)
                 """
             )
             == []

@@ -1,38 +1,19 @@
-"""Engine-level behaviour of the flow analysis: suppressions, errors,
-registration, and the tier-1 self-analysis gate."""
+"""Lint behaviour around the determinism and purity rules (RPR007–RPR009):
+suppressions, errors, and the tier-1 self-analysis gate."""
 
 import textwrap
 from pathlib import Path
 
-from repro.checks import astlint
+from repro.checks import lint_paths, lint_source
 from repro.checks.findings import Severity
-from repro.checks.flow import (
-    FLOW_RULE_IDS,
-    FLOW_RULES,
-    analyze_paths,
-    analyze_source,
-)
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def analyze(code, module="repro.experiments.fixture"):
-    return analyze_source(
+    return lint_source(
         textwrap.dedent(code), path="fixture.py", module=module
     )
-
-
-class TestRegistration:
-    def test_all_three_flow_rules_registered(self):
-        assert sorted(FLOW_RULES) == [
-            "RPR007",
-            "RPR008",
-            "RPR009",
-        ]
-        assert FLOW_RULE_IDS == frozenset(FLOW_RULES)
-
-    def test_flow_ids_are_declared_external_to_the_lint(self):
-        assert FLOW_RULE_IDS <= astlint.EXTERNAL_RPR_IDS
 
 
 class TestErrors:
@@ -83,27 +64,14 @@ class TestSuppressions:
             == []
         )
 
-    def test_lint_ids_are_not_claimed_by_the_flow_engine(self):
-        # RPR004 staleness belongs to the lint; the flow engine must
-        # not double-report it.
-        assert (
-            analyze(
-                """
-                def fine(x):
-                    return x  # norpr: RPR004
-                """
-            )
-            == []
-        )
-
 
 class TestSelfAnalysis:
     def test_src_repro_has_no_flow_errors(self):
         """Tier-1 gate: the library's own source obeys its own rules."""
-        findings = analyze_paths([str(SRC)])
+        findings = lint_paths([str(SRC)])
         errors = [f for f in findings if f.severity >= Severity.ERROR]
         assert errors == [], [f.as_dict() for f in errors]
 
     def test_checks_package_analyzes_itself_warning_free(self):
-        findings = analyze_paths([str(SRC / "checks")])
+        findings = lint_paths([str(SRC / "checks")])
         assert findings == [], [f.as_dict() for f in findings]

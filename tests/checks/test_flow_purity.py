@@ -2,13 +2,13 @@
 
 import textwrap
 
-from repro.checks.flow import analyze_source
+from repro.checks import lint_source
 
 
 def rule_ids(code, module="repro.experiments.fixture"):
     return [
         f.rule_id
-        for f in analyze_source(
+        for f in lint_source(
             textwrap.dedent(code), path="fixture.py", module=module
         )
     ]

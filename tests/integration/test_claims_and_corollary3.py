@@ -77,7 +77,6 @@ class TestClaim2:
 
 
 class TestClaim3:
-    @pytest.mark.slow
     def test_closure_is_liberal_2eps_representative_sweep(self, iis):
         m, eps = 4, F(1, 4)
         task = liberal_approximate_agreement_task([1, 2, 3], eps, m)
@@ -213,7 +212,6 @@ class TestTwoRoundTightnessThreeProcs:
 
 
 class TestClaim3AcrossModels:
-    @pytest.mark.slow
     def test_closure_identity_holds_in_weaker_models_too(
         self, snapshot_model, collect_model
     ):

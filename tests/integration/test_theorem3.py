@@ -4,8 +4,6 @@ approximate agreement for n ≥ 3 (E10).
 
 from fractions import Fraction
 
-import pytest
-
 from repro.core import (
     ClosureComputer,
     aa_lower_bound_iis,
@@ -24,7 +22,6 @@ def F(num, den=1):
 
 
 class TestClaim4:
-    @pytest.mark.slow
     def test_closure_with_tas_is_still_2eps_on_wide_windows(self, iis_tas):
         m, eps = 4, F(1, 4)
         task = liberal_approximate_agreement_task([1, 2, 3], eps, m)

@@ -39,7 +39,6 @@ class TestClaim6:
         assert side == frozenset({1, 3, 4})
         assert len(side) >= 5 / 2
 
-    @pytest.mark.slow
     def test_beta_closure_is_2eps_on_majority_side(self, bc_model):
         m, eps = 4, F(1, 4)
         side = sorted(majority_side(BETA, [1, 2, 3, 4, 5]))
@@ -59,7 +58,6 @@ class TestClaim6:
                 == target.delta(sigma).simplices
             ), f"Claim 6 fails at {sigma.as_mapping()}"
 
-    @pytest.mark.slow
     def test_mixed_beta_escapes_the_collapse(self, bc_model):
         # The paper's caveat: on participants spanning both β-sides, the
         # closure is NOT necessarily (2ε)-AA — the box genuinely helps.

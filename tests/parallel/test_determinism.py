@@ -1,8 +1,7 @@
 """The determinism contract: worker count never changes any result.
 
-Covers the three fan-outs at ``workers ∈ {1, 2}`` in the default tier-1
-run; the 4-worker sweeps are marked ``slow`` (they add pool spin-up
-latency without new code paths on small hosts).
+Covers the three fan-outs at ``workers ∈ {1, 2, 4}`` in the default
+tier-1 run.
 """
 
 import json
@@ -41,7 +40,6 @@ class TestChaosDeterminism:
     def test_two_workers_byte_identical(self):
         assert _campaign_json(2) == _campaign_json(1)
 
-    @pytest.mark.slow
     def test_four_workers_byte_identical(self):
         assert _campaign_json(4) == _campaign_json(1)
 
@@ -73,7 +71,6 @@ class TestProtocolDeterminism:
         # The E1/E19 workload: P^(t) over IIS on the 3-process triangle.
         assert _protocol_facets(2, 2) == _protocol_facets(2, 1)
 
-    @pytest.mark.slow
     def test_four_workers_identical_facet_sets(self):
         assert _protocol_facets(3, 4) == _protocol_facets(3, 1)
 
@@ -88,7 +85,6 @@ class TestSolvabilityDeterminism:
         serial = is_solvable(task, iis, 1, workers=1)
         assert is_solvable(task, iis, 1, workers=2) == serial
 
-    @pytest.mark.slow
     def test_four_worker_verdict(self):
         task = approximate_agreement_task([1, 2], Fraction(1, 2), 2)
         iis = ImmediateSnapshotModel()
