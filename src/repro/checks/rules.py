@@ -43,10 +43,10 @@ AUD011    trace      telemetry trace artifact well-formedness: every
                      span closed with numeric ``start ≤ end``, children
                      nested within their parent's interval, attributes
                      JSON-serializable, metric deltas numeric
-AUD012    parallel   process-pool coherence: the parallel merged
-                     protocol complex equals the serial operator's
-                     output, and sampled facets survive a wire-codec
-                     round trip unchanged
+AUD012    parallel   process-pool coherence: the per-input-simplex
+                     fan-out builds the serial operator's ``P^(t)(σ)``
+                     for every face of a sample, and sampled facets
+                     survive a wire-codec round trip unchanged
 AUD013    complex    bitmask-core parity: pruning, containment,
                      ``proj``/``star``/``skeleton``, ``union``/
                      ``intersection`` and the f-vector computed through
@@ -1123,45 +1123,52 @@ def check_trace_artifact(target: AuditTarget) -> Iterator[Finding]:
 def check_parallel_coherence(target: AuditTarget) -> Iterator[Finding]:
     """Cross-check the process-pool fan-out against the serial operator.
 
-    The parallel engine promises bit-identical results at every worker
-    count.  This probe expands the sample simplex twice from cold
-    caches — once through a fresh serial operator, once through
-    :func:`repro.parallel.expansion.parallel_of_complex` on a pool —
-    and requires the merged facet sets to agree exactly.  A sampled
-    facet subset is then pushed through the wire codec and must come
-    back unchanged: the merge is only trustworthy if the encoding that
-    carried it across process boundaries is faithful.
+    The per-input-simplex fan-out promises the serial complexes at every
+    worker count.  This probe builds ``P^(rounds)(σ)`` for every face of
+    the sample simplex twice from cold caches — once through a fresh
+    serial operator, once through
+    :func:`repro.parallel.expansion.materialize_protocol_complexes` on a
+    pool, called directly so the operator's fan-out threshold cannot
+    turn the probe into serial-versus-serial — and requires equal facet
+    sets.  A sampled facet subset is then pushed through the simplex
+    codec and must come back unchanged: the fan-out ships its input
+    simplices that way, so it is only trustworthy if that encoding is
+    faithful.
     """
     from repro.models.protocol import ProtocolOperator
-    from repro.parallel.expansion import cold_model, parallel_of_complex
+    from repro.parallel.expansion import (
+        cold_model,
+        materialize_protocol_complexes,
+    )
     from repro.topology.wire import decode_simplex, encode_simplex
 
     model: ComputationModel = target.obj
     sigma: Simplex = target.extras["sample"]
     rounds: int = target.extras.get("rounds", 2)
     workers: int = target.extras.get("workers", 2)
-    base = SimplicialComplex.from_simplex(sigma)
-    serial = ProtocolOperator(cold_model(model)).of_complex(
-        base, rounds, workers=1
+    faces = list(SimplicialComplex.from_simplex(sigma))
+    serial = ProtocolOperator(cold_model(model))
+    table = materialize_protocol_complexes(
+        ProtocolOperator(cold_model(model)), faces, rounds, workers
     )
-    merged = parallel_of_complex(
-        ProtocolOperator(cold_model(model)), base, rounds, workers
-    )
-    if merged.facets != serial.facets:
-        missing = len(serial.facets - merged.facets)
-        spurious = len(merged.facets - serial.facets)
-        yield Finding(
-            "AUD012",
-            Severity.ERROR,
-            f"{target.path}/P^{rounds}",
-            f"parallel merge diverges from the serial operator: "
-            f"{missing} facet(s) missing and {spurious} spurious "
-            f"(serial has {len(serial.facets)}, parallel "
-            f"{len(merged.facets)})",
-        )
-        return
+    for face in faces:
+        expected = serial.of_simplex(face, rounds)
+        built = table[face]
+        if built.facets != expected.facets:
+            missing = len(expected.facets - built.facets)
+            spurious = len(built.facets - expected.facets)
+            yield Finding(
+                "AUD012",
+                Severity.ERROR,
+                f"{target.path}/P^{rounds}({face!r})",
+                f"parallel expansion diverges from the serial operator: "
+                f"{missing} facet(s) missing and {spurious} spurious "
+                f"(serial has {len(expected.facets)}, parallel "
+                f"{len(built.facets)})",
+            )
+            return
     sample_size: int = target.extras.get("codec_sample", 8)
-    for facet in merged.sorted_facets()[:sample_size]:
+    for facet in table[sigma].sorted_facets()[:sample_size]:
         round_tripped = decode_simplex(encode_simplex(facet))
         if round_tripped != facet:
             yield Finding(

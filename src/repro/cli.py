@@ -533,9 +533,10 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="process-pool workers for protocol expansion, solvability "
-        "search, and chaos trials (default: $REPRO_WORKERS or 1; "
-        "results are identical at every worker count)",
+        help="process-pool workers for per-input-simplex protocol "
+        "expansion and chaos trials; the solvability search itself "
+        "stays serial (default: $REPRO_WORKERS or 1; results are "
+        "identical at every worker count)",
     )
 
 

@@ -260,15 +260,14 @@ class SolvabilityProblem:
     ]:
         """Run every pre-search stage; ``None`` refutes the instance.
 
-        The stages shared by the serial and parallel engines: the
+        Everything :meth:`solve` does before backtracking: the
         empty-domain check, constraint indexing, pairwise
         arc-consistency propagation, up-front assignment of forced
         (singleton-domain) vertices, the pinned-pair constraint
         precheck, and the connected-component decomposition.  Returns
         ``(domains, assignment, components)`` ready for per-component
         backtracking — each component is independent of the others
-        given the forced assignment, which is exactly what the parallel
-        engine fans out.
+        given the forced assignment.
         """
         self.last_search_nodes = 0
         if any(not domain for domain in self.candidates.values()):
@@ -307,22 +306,6 @@ class SolvabilityProblem:
             else ([sorted(free, key=lambda v: v._sort_key())] if free else [])
         )
         return domains, assignment, components
-
-    def search_component(
-        self,
-        component: list[Vertex],
-        domains: dict[Vertex, list[Vertex]],
-        assignment: dict[Vertex, Vertex],
-        node_limit: Optional[int] = None,
-    ) -> bool:
-        """Backtrack one component over state from :meth:`prepare_search`.
-
-        Extends ``assignment`` in place with images for the component's
-        vertices; ``True`` iff the component is satisfiable.
-        """
-        return self._search_component(
-            component, domains, assignment, node_limit
-        )
 
     def _solve(
         self,
@@ -477,8 +460,7 @@ class SolvabilityProblem:
             # next-option positions, one per depth: components can have
             # thousands of free vertices, far beyond the interpreter's
             # recursion limit.  Variable order, value order and node
-            # counting are fixed: the parallel engine must find the
-            # serial map, and node budgets must stay comparable.
+            # counting are fixed: node budgets must stay comparable.
             depth_count = len(order)
             if depth_count == 0:
                 return True
@@ -598,11 +580,10 @@ def find_decision_map(
     operator:
         Reuse a memoized :class:`ProtocolOperator` across calls.
     workers:
-        With more than one (resolved) worker, protocol expansion and the
-        independent constraint components are searched concurrently (the
-        components with early cancel on the first refuted one).  The
-        verdict — and the returned map, if any — are identical to the
-        serial search.
+        Passed to :meth:`ProtocolOperator.materialize`, which may build the
+        per-input-simplex protocol complexes on a process pool.  The
+        search itself always runs serially in this process, so the
+        verdict — and the returned map, if any — are the serial ones.
     """
     if rounds < 0:
         raise SolvabilityError("rounds must be non-negative")
@@ -612,16 +593,7 @@ def find_decision_map(
         if input_simplices is not None
         else list(task.input_complex)
     )
-    # Imported lazily: repro.parallel imports this module at load time.
-    from repro.parallel.pool import resolve_workers
-
-    resolved = resolve_workers(workers)
-    if resolved > 1:
-        from repro.parallel.solving import parallel_find_decision_map
-
-        return parallel_find_decision_map(
-            task, op, rounds, list(simplices), resolved
-        )
+    op.materialize(simplices, rounds, workers)
     problem = build_solvability_problem(
         simplices,
         task.delta,

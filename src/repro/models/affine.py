@@ -12,6 +12,7 @@ the speedup machinery would then be unsound for the resulting model.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.errors import ModelError
@@ -109,11 +110,17 @@ def k_concurrency_model(base: IteratedModel, k: int) -> AffineModel:
     """
     if k < 1:
         raise ModelError("concurrency level k must be at least 1")
+    # A partial of a module-level predicate, not a closure, so the model
+    # pickles for the per-input-simplex pool fan-out.
+    return AffineModel(
+        base,
+        partial(_at_most_k_concurrent, k),
+        name=f"{k}-concurrency({base.name})",
+    )
 
-    def keep(view_map: ViewMap) -> bool:
-        return all(size <= k for size in _block_sizes(view_map))
 
-    return AffineModel(base, keep, name=f"{k}-concurrency({base.name})")
+def _at_most_k_concurrent(k: int, view_map: ViewMap) -> bool:
+    return all(size <= k for size in _block_sizes(view_map))
 
 
 def no_synchrony_model(base: IteratedModel) -> AffineModel:
@@ -122,13 +129,15 @@ def no_synchrony_model(base: IteratedModel) -> AffineModel:
     A minimal, instructive affine restriction: one facet of the chromatic
     subdivision is removed each round.  Solo executions are untouched.
     """
+    return AffineModel(
+        base, _not_fully_synchronous, name=f"no-sync({base.name})"
+    )
 
-    def keep(view_map: ViewMap) -> bool:
-        if len(view_map) <= 1:
-            # The solo "synchronous" run of a single participant must stay:
-            # a one-process round has no asynchrony to remove.
-            return True
-        everyone = frozenset(view_map)
-        return not all(view == everyone for view in view_map.values())
 
-    return AffineModel(base, keep, name=f"no-sync({base.name})")
+def _not_fully_synchronous(view_map: ViewMap) -> bool:
+    if len(view_map) <= 1:
+        # The solo "synchronous" run of a single participant must stay:
+        # a one-process round has no asynchrony to remove.
+        return True
+    everyone = frozenset(view_map)
+    return not all(view == everyone for view in view_map.values())

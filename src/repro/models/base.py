@@ -16,7 +16,7 @@ Two layers of abstraction:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable
 
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
@@ -91,44 +91,6 @@ class ComputationModel(ABC):
         if table is None:
             table = self._memo_table = VertexTable()
         return table.interning_key(sigma)
-
-    def cached_one_round(
-        self, sigma: Simplex
-    ) -> Optional[SimplicialComplex]:
-        """The memoized ``P^(1)(σ)``, or ``None`` if not yet built.
-
-        A pure cache probe: never materializes, never touches the
-        hit/miss tallies, and never grows the memo table (a vertex the
-        table has not seen cannot appear in any cached key).  The
-        parallel engine uses it to ship only the not-yet-expanded
-        simplices to the pool.
-        """
-        cache = getattr(self, "_one_round_cache", None)
-        table = getattr(self, "_memo_table", None)
-        if cache is None or table is None:
-            return None
-        key = table.key(sigma)
-        found = None if key is None else cache.get(key)
-        return None if found is None else found[1]
-
-    def seed_one_round(
-        self, sigma: Simplex, complex_: SimplicialComplex
-    ) -> None:
-        """Install a known ``P^(1)(σ)`` in the memo.
-
-        The parallel engine folds worker-computed expansions back into
-        the parent's cache through this hook.  The seeded complex must
-        equal what :meth:`_build_one_round_complex` would produce —
-        audit rule AUD012 cross-checks this on sampled simplices.
-        """
-        cache = getattr(self, "_one_round_cache", None)
-        if cache is None:
-            cache = self._one_round_cache = {}
-            # Same per-instance lazy init as one_round_complex above.
-            self._one_round_stats = default_registry().cache(
-                f"one-round-complex[{self.name}]"
-            )
-        cache[self._memo_key(sigma)] = (sigma, complex_)
 
     @abstractmethod
     def _build_one_round_complex(self, sigma: Simplex) -> SimplicialComplex:

@@ -7,16 +7,19 @@ protocol simplex, the *input simplices it can arise from* — the carrier
 information needed to state solvability ("for every σ,
 ``f(P^(t)(σ)) ⊆ Δ(σ)``").
 
-Every expansion entry point accepts an optional ``workers`` count; with
-more than one (resolved) worker the per-simplex ``Ξ`` calls are fanned
-out through :mod:`repro.parallel` and folded back through the memo
-caches, so the produced complexes — and all subsequent cache hits — are
-identical to the serial ones.
+The whole-complex entry points (:meth:`~ProtocolOperator.of_complex`,
+:meth:`~ProtocolOperator.carriers`) and
+:func:`~repro.core.solvability.find_decision_map` accept a ``workers``
+count.  One method, :meth:`~ProtocolOperator.materialize`, decides
+whether to fan the independent per-input-simplex complexes ``P^(t)(σ)``
+out through :mod:`repro.parallel`; their results are folded back into
+the memo, so the complexes — and every later cache hit — are the serial
+ones.  :meth:`~ProtocolOperator.of_simplex` itself is always serial.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.models.base import ComputationModel
 from repro.telemetry import default_registry, span
@@ -30,16 +33,10 @@ __all__ = ["ProtocolOperator"]
 #: short-lived operators still aggregates into one hit/miss line.
 _OF_SIMPLEX_STATS = default_registry().cache("protocol-operator.of-simplex")
 
-#: Below this many simplices a round is expanded serially even when a
-#: pool is available — fork/pickle overhead would dominate the work.
+#: Below this many input simplices :meth:`ProtocolOperator.materialize`
+#: stays serial even when a pool is available — fork/pickle overhead
+#: would dominate the work.
 _MIN_PARALLEL_SIMPLICES = 8
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    # Imported lazily: repro.parallel imports this module at load time.
-    from repro.parallel.pool import resolve_workers
-
-    return resolve_workers(workers)
 
 
 class ProtocolOperator:
@@ -69,18 +66,11 @@ class ProtocolOperator:
         """The underlying computation model."""
         return self._model
 
-    def of_simplex(
-        self,
-        sigma: Simplex,
-        rounds: int,
-        workers: Optional[int] = None,
-    ) -> SimplicialComplex:
+    def of_simplex(self, sigma: Simplex, rounds: int) -> SimplicialComplex:
         """``P^(t)(σ)`` — executions where exactly ``ID(σ)`` participate.
 
         For ``rounds == 0`` this is the complex of ``σ`` itself (``Ξ_0`` is
-        the identity, Claim 1's setting).  ``workers`` parallelizes the
-        per-round fan-out (see :meth:`_one_round_of_complex`); the result
-        and the memo contents do not depend on it.
+        the identity, Claim 1's setting).
         """
         key = self._memo_key(sigma, rounds)
         found = self._simplex_cache.get(key)
@@ -96,8 +86,8 @@ class ProtocolOperator:
                     model=self._model.name,
                     rounds=rounds,
                 ):
-                    previous = self.of_simplex(sigma, rounds - 1, workers)
-                    found = self._one_round_of_complex(previous, workers)
+                    previous = self.of_simplex(sigma, rounds - 1)
+                    found = self._one_round_of_complex(previous)
             self._simplex_cache[key] = found
         else:
             _OF_SIMPLEX_STATS.hit()
@@ -127,10 +117,41 @@ class ProtocolOperator:
         """Install a known ``P^(rounds)(σ)`` in the memo.
 
         The seeded complex must equal what :meth:`of_simplex` would
-        compute — audit rule AUD012 cross-checks parallel merges
+        compute — audit rule AUD012 cross-checks the pool fan-out
         against serial expansion on sampled simplices.
         """
         self._simplex_cache[self._memo_key(sigma, rounds)] = complex_
+
+    def materialize(
+        self,
+        sigmas: Sequence[Simplex],
+        rounds: int,
+        workers: Optional[int] = None,
+    ) -> None:
+        """Build ``P^(rounds)(σ)`` for every ``σ`` on the pool when it pays.
+
+        The one place that decides whether to fan out: with more than one
+        (resolved) worker, at least one round and at least
+        :data:`_MIN_PARALLEL_SIMPLICES` input simplices, the per-``σ``
+        operator recursions run on the pool and are seeded into the memo,
+        so the :meth:`of_simplex` calls that follow are cache hits.
+        Otherwise it does nothing and those calls expand serially.
+        Either way they return the same complexes.
+        """
+        # Imported lazily: repro.parallel imports this module at load time.
+        from repro.parallel.pool import resolve_workers
+
+        resolved = resolve_workers(workers)
+        if (
+            resolved > 1
+            and rounds > 0
+            and len(sigmas) >= _MIN_PARALLEL_SIMPLICES
+        ):
+            from repro.parallel.expansion import (
+                materialize_protocol_complexes,
+            )
+
+            materialize_protocol_complexes(self, sigmas, rounds, resolved)
 
     def of_complex(
         self,
@@ -139,31 +160,15 @@ class ProtocolOperator:
         workers: Optional[int] = None,
     ) -> SimplicialComplex:
         """``P^(t)`` of a whole input complex: union over its simplices."""
-        resolved = _resolve_workers(workers)
-        if resolved > 1 and len(base) >= _MIN_PARALLEL_SIMPLICES:
-            from repro.parallel.expansion import parallel_of_complex
-
-            return parallel_of_complex(self, base, rounds, resolved)
+        self.materialize(list(base), rounds, workers)
         merged: list[Simplex] = []
-        # A base too small to fan out still threads the worker count into
-        # the per-simplex expansions, whose intermediate complexes grow
-        # past the parallel threshold after one round.
         for simplex in base:
-            merged.extend(
-                self.of_simplex(simplex, rounds, workers=resolved).facets
-            )
+            merged.extend(self.of_simplex(simplex, rounds).facets)
         return SimplicialComplex(merged)
 
     def _one_round_of_complex(
-        self,
-        base: SimplicialComplex,
-        workers: Optional[int] = None,
+        self, base: SimplicialComplex
     ) -> SimplicialComplex:
-        resolved = _resolve_workers(workers)
-        if resolved > 1 and len(base) >= _MIN_PARALLEL_SIMPLICES:
-            from repro.parallel.expansion import expand_one_round
-
-            return expand_one_round(self._model, base, resolved)
         pieces: list[Simplex] = []
         for simplex in base:
             pieces.extend(self._model.one_round_complex(simplex).facets)
@@ -178,20 +183,10 @@ class ProtocolOperator:
         """Map each input simplex ``σ`` to the facets of ``P^(t)(σ)``.
 
         The solvability engine uses this to impose ``f(ρ) ∈ Δ(σ)`` for every
-        protocol facet ``ρ`` of every input simplex ``σ``.  With several
-        workers the per-``σ`` expansions run concurrently (one operator
-        recursion per worker chunk) before the table is assembled from
-        the seeded memo.
+        protocol facet ``ρ`` of every input simplex ``σ``.  ``workers`` is
+        passed to :meth:`materialize`.
         """
-        resolved = _resolve_workers(workers)
-        if resolved > 1 and len(input_complex) >= _MIN_PARALLEL_SIMPLICES:
-            from repro.parallel.expansion import (
-                materialize_protocol_complexes,
-            )
-
-            materialize_protocol_complexes(
-                self, list(input_complex), rounds, resolved
-            )
+        self.materialize(list(input_complex), rounds, workers)
         table: dict[Simplex, list[Simplex]] = {}
         for sigma in input_complex:
             protocol = self.of_simplex(sigma, rounds)

@@ -36,6 +36,15 @@ InputFunction = Callable[[Vertex], Hashable]
 ScheduleFilter = Callable[[OneRoundSchedule], bool]
 
 
+def _no_input(vertex: Vertex) -> Hashable:
+    """The default ``α`` for boxes that ignore inputs.
+
+    Module-level rather than a lambda so the model pickles for the
+    per-input-simplex pool fan-out.
+    """
+    return None
+
+
 class AugmentedModel(ComputationModel):
     """The wait-free IIS model augmented with a black-box object.
 
@@ -69,7 +78,7 @@ class AugmentedModel(ComputationModel):
                 "function α"
             )
         self._box = box
-        self._alpha = input_function or (lambda vertex: None)
+        self._alpha = input_function or _no_input
         self._filter = schedule_filter
         self.name = name or f"IIS+{box.name}"
 

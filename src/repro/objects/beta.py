@@ -14,6 +14,7 @@ output is forced, collapsing the augmented model onto plain IIS.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.topology.vertex import Vertex
@@ -28,13 +29,16 @@ def beta_input_function(beta: Mapping[int, Hashable]) -> InputFunction:
 
     The returned callable takes a protocol vertex (whose color is the
     process) and ignores the view, as required by Theorem 4's hypothesis.
+    It is a partial of a module-level function, not a closure, so a model
+    using it pickles for the per-input-simplex pool fan-out.
     """
-    frozen = dict(beta)
+    return partial(_beta_of_color, dict(beta))
 
-    def alpha(vertex: Vertex) -> Hashable:
-        return frozen[vertex.color]
 
-    return alpha
+def _beta_of_color(
+    beta: Mapping[int, Hashable], vertex: Vertex
+) -> Hashable:
+    return beta[vertex.color]
 
 
 def majority_side(

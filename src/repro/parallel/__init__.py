@@ -1,10 +1,16 @@
 """Process-pool parallel execution engine.
 
-The substrate's three embarrassingly-parallel fan-outs — protocol round
-expansion (``Ξ`` per input facet), decision-map search (independent
-connected components), and chaos campaigns (independent seeded trials) —
-all route through one stdlib :mod:`concurrent.futures` pool managed
-here.  Everything stays deterministic by construction:
+Two fan-outs route through one stdlib :mod:`concurrent.futures` pool
+managed here, the two that a measurement shows pay:
+
+* per-input-simplex protocol expansion — the independent complexes
+  ``P^(t)(σ)`` of Section 2.2, built on the pool and seeded into the
+  operator's memo (:mod:`repro.parallel.expansion`), after which the
+  solvability search runs serially in the parent;
+* chaos campaigns — independent seeded trials
+  (:mod:`repro.parallel.chaos`).
+
+Everything stays deterministic by construction:
 
 * ``workers=1`` (the default) is a *serial fallback* that runs the exact
   pre-engine code paths, so results are bit-identical to the unparallel
@@ -31,11 +37,7 @@ and ``docs/RESILIENCE.md`` for the supervision model.
 """
 
 from repro.parallel.chaos import run_campaign_sharded
-from repro.parallel.expansion import (
-    expand_one_round,
-    materialize_protocol_complexes,
-    parallel_of_complex,
-)
+from repro.parallel.expansion import materialize_protocol_complexes
 from repro.parallel.pool import (
     WORKERS_ENV,
     MapOutcome,
@@ -46,7 +48,6 @@ from repro.parallel.pool import (
     set_default_workers,
     shutdown_pools,
 )
-from repro.parallel.solving import parallel_find_decision_map
 from repro.parallel.supervisor import (
     QuarantineRecord,
     SupervisedOutcome,
@@ -77,9 +78,6 @@ __all__ = [
     "resolve_supervisor",
     "backoff_delay",
     "supervised_map",
-    "expand_one_round",
     "materialize_protocol_complexes",
-    "parallel_of_complex",
-    "parallel_find_decision_map",
     "run_campaign_sharded",
 ]

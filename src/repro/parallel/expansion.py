@@ -1,12 +1,13 @@
-"""Parallel protocol expansion: fan ``Ξ`` out per simplex.
+"""Parallel protocol expansion: fan ``P^(t)(σ)`` out per input simplex.
 
-The round operator's cost is the per-simplex calls to
-``model.one_round_complex`` (13 facets per round per triangle in the
-``n = 3`` IIS model, so ``13^t`` growth) — each call independent of the
-others.  The helpers here ship those calls to the pool as wire-encoded
-chunks, decode the results in the parent, and *seed the parent's memo
-caches* with them, so the serial assembly code that follows sees pure
-cache hits and produces exactly the complex the serial operator would.
+The paper builds ``P^(t)`` as a union of independent per-input-simplex
+complexes ``P^(t)(σ)`` (Section 2.2).  :func:`materialize_protocol_complexes`
+ships those ``σ`` to the pool as wire-encoded chunks; each worker runs the
+ordinary serial operator recursion, and the parent decodes the results
+and *seeds its operator's memo* with them, so the serial code that
+follows sees pure cache hits and produces exactly the serial complexes.
+:meth:`~repro.models.protocol.ProtocolOperator.materialize` decides when
+this fan-out runs.
 
 Workers receive a *cold* copy of the model (memo layers detached) so
 payload pickles stay a few hundred bytes regardless of how much the
@@ -16,6 +17,8 @@ parent has already expanded.
 from __future__ import annotations
 
 from copy import copy
+from typing import Iterable
+
 from repro.models.base import ComputationModel
 from repro.models.protocol import ProtocolOperator
 from repro.parallel.pool import chunked
@@ -32,12 +35,7 @@ from repro.topology.wire import (
     encode_simplex,
 )
 
-__all__ = [
-    "cold_model",
-    "expand_one_round",
-    "materialize_protocol_complexes",
-    "parallel_of_complex",
-]
+__all__ = ["cold_model", "materialize_protocol_complexes"]
 
 #: Memo attributes detached from models before pickling (they are
 #: rebuilt lazily in the worker; see ``repro.models.base``).
@@ -71,17 +69,6 @@ def cold_model(model: ComputationModel) -> ComputationModel:
     return clone
 
 
-ExpandPayload = tuple[ComputationModel, tuple[WireSimplex, ...]]
-
-
-def _expand_chunk(payload: ExpandPayload) -> tuple[WireComplex, ...]:
-    model, wires = payload
-    return tuple(
-        encode_complex(model.one_round_complex(decode_simplex(wire)))
-        for wire in wires
-    )
-
-
 ProtocolPayload = tuple[ComputationModel, tuple[WireSimplex, ...], int]
 
 
@@ -94,64 +81,9 @@ def _protocol_chunk(payload: ProtocolPayload) -> tuple[WireComplex, ...]:
     )
 
 
-def expand_one_round(
-    model: ComputationModel,
-    base: SimplicialComplex,
-    workers: int,
-) -> SimplicialComplex:
-    """One application of ``Ξ`` to ``base``, fanned out per simplex.
-
-    Equals ``SimplicialComplex`` of the union of
-    ``model.one_round_complex(σ)`` facets over every simplex ``σ`` of
-    ``base`` — the exact serial semantics — with the per-simplex builds
-    sharded over the pool and folded back through the model's memo.
-    """
-    ordered = sorted(base, key=_sigma_key)
-    missing = [
-        sigma
-        for sigma in ordered
-        if model.cached_one_round(sigma) is None
-    ]
-    with span(
-        "parallel/expand-one-round",
-        model=model.name,
-        simplices=len(ordered),
-        missing=len(missing),
-        workers=workers,
-    ):
-        if missing:
-            clone = cold_model(model)
-            chunks = chunked(
-                [encode_simplex(sigma) for sigma in missing],
-                workers * _CHUNKS_PER_WORKER,
-            )
-            # Supervised: a worker lost mid-expansion is retried (and
-            # the pool rebuilt) instead of failing the whole round; a
-            # chunk that still fails raises QuarantineError rather than
-            # silently truncating the complex.
-            outcome = supervised_map(
-                _expand_chunk,
-                [(clone, chunk) for chunk in chunks],
-                workers=workers,
-                label="expand-one-round",
-            )
-            position = 0
-            for encoded in outcome.results:
-                assert encoded is not None  # no early stop requested
-                for wire in encoded:
-                    model.seed_one_round(
-                        missing[position], decode_complex(wire)
-                    )
-                    position += 1
-        pieces: list[Simplex] = []
-        for sigma in ordered:
-            pieces.extend(model.one_round_complex(sigma).facets)
-        return SimplicialComplex(pieces)
-
-
 def materialize_protocol_complexes(
     operator: ProtocolOperator,
-    sigmas: list[Simplex],
+    sigmas: Iterable[Simplex],
     rounds: int,
     workers: int,
 ) -> dict[Simplex, SimplicialComplex]:
@@ -182,6 +114,9 @@ def materialize_protocol_complexes(
                 [encode_simplex(sigma) for sigma in missing],
                 workers * _CHUNKS_PER_WORKER,
             )
+            # Supervised: a worker lost mid-expansion is retried (and
+            # the pool rebuilt); a chunk that still fails raises
+            # QuarantineError rather than silently leaving a σ unbuilt.
             outcome = supervised_map(
                 _protocol_chunk,
                 [(clone, chunk, rounds) for chunk in chunks],
@@ -200,22 +135,3 @@ def materialize_protocol_complexes(
             sigma: operator.of_simplex(sigma, rounds) for sigma in ordered
         }
 
-
-def parallel_of_complex(
-    operator: ProtocolOperator,
-    base: SimplicialComplex,
-    rounds: int,
-    workers: int,
-) -> SimplicialComplex:
-    """``P^(rounds)`` of a whole complex with per-simplex fan-out.
-
-    Produces exactly ``operator.of_complex(base, rounds)`` — the merge
-    is the same pruning union over the same per-simplex complexes.
-    """
-    table = materialize_protocol_complexes(
-        operator, list(base), rounds, workers
-    )
-    merged: list[Simplex] = []
-    for simplex in base:
-        merged.extend(table[simplex].facets)
-    return SimplicialComplex(merged)

@@ -322,8 +322,9 @@ class TestModelRules:
         sigma = Simplex([(1, "a"), (2, "b")])
         model.one_round_complex(sigma)  # warm the memo honestly
         # Poison the cache the way an accidental in-place mutation would.
-        model.seed_one_round(
-            sigma, SimplicialComplex.from_simplex(sigma)
+        model._one_round_cache[model._memo_key(sigma)] = (
+            sigma,
+            SimplicialComplex.from_simplex(sigma),
         )
         target = AuditTarget("model", "fixture/stale-memo", model, {})
         findings = run_rules([target])

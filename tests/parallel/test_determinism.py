@@ -1,7 +1,8 @@
 """The determinism contract: worker count never changes any result.
 
-Covers the three fan-outs at ``workers ∈ {1, 2, 4}`` in the default
-tier-1 run.
+Covers both fan-outs (per-input-simplex protocol expansion, chaos
+campaigns) and the solvability verdicts built on the first, at
+``workers ∈ {1, 2, 4}`` in the default tier-1 run.
 """
 
 import json
@@ -16,11 +17,18 @@ from repro.models import ImmediateSnapshotModel
 from repro.models.protocol import ProtocolOperator
 from repro.parallel.supervisor import SupervisorConfig
 from repro.tasks import approximate_agreement_task
-from repro.topology import Simplex
+from repro.topology import Simplex, SimplicialComplex
 
 
-def _triangle():
-    return Simplex((i, f"x{i}") for i in range(1, 4))
+def _two_triangles():
+    """Two IIS input triangles sharing an edge: 11 simplices, enough to
+    cross the operator's fan-out threshold."""
+    return SimplicialComplex(
+        [
+            Simplex([(1, 0), (2, 0), (3, 0)]),
+            Simplex([(1, 1), (2, 0), (3, 0)]),
+        ]
+    )
 
 
 def _campaign_json(workers, supervisor=None):
@@ -32,8 +40,14 @@ def _campaign_json(workers, supervisor=None):
 
 
 def _protocol_facets(rounds, workers):
-    operator = ProtocolOperator(ImmediateSnapshotModel())
-    return operator.of_simplex(_triangle(), rounds, workers=workers).facets
+    base = _two_triangles()
+    whole = ProtocolOperator(ImmediateSnapshotModel()).of_complex(
+        base, rounds, workers=workers
+    )
+    carriers = ProtocolOperator(ImmediateSnapshotModel()).carriers(
+        base, rounds, workers=workers
+    )
+    return whole.facets, carriers
 
 
 class TestChaosDeterminism:
@@ -68,7 +82,7 @@ class TestSupervisedChaosDeterminism:
 
 class TestProtocolDeterminism:
     def test_two_workers_identical_facet_sets(self):
-        # The E1/E19 workload: P^(t) over IIS on the 3-process triangle.
+        # The E1/E19 workload, P^(t) over IIS on 3-process triangles.
         assert _protocol_facets(2, 2) == _protocol_facets(2, 1)
 
     def test_four_workers_identical_facet_sets(self):

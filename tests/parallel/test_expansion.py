@@ -1,12 +1,21 @@
 """Parallel protocol expansion equals the serial operator exactly."""
 
-from repro.models import ImmediateSnapshotModel, SnapshotModel
-from repro.models.protocol import ProtocolOperator
-from repro.parallel import (
-    expand_one_round,
-    materialize_protocol_complexes,
-    parallel_of_complex,
+import pytest
+
+from repro.models import (
+    ImmediateSnapshotModel,
+    SnapshotModel,
+    k_concurrency_model,
+    no_synchrony_model,
 )
+from repro.models.protocol import ProtocolOperator
+from repro.objects import (
+    AugmentedModel,
+    BinaryConsensusBox,
+    TestAndSetBox,
+    beta_input_function,
+)
+from repro.parallel import materialize_protocol_complexes
 from repro.parallel.expansion import cold_model
 from repro.topology import Simplex, SimplicialComplex
 
@@ -19,6 +28,16 @@ def _edge():
     return Simplex((i, f"x{i}") for i in range(1, 3))
 
 
+def _two_triangles():
+    """Two input triangles sharing an edge: 11 simplices, enough to fan out."""
+    return SimplicialComplex(
+        [
+            Simplex([(1, 0), (2, 0), (3, 0)]),
+            Simplex([(1, 1), (2, 0), (3, 0)]),
+        ]
+    )
+
+
 class TestColdModel:
     def test_detaches_memo_layers(self):
         model = ImmediateSnapshotModel()
@@ -28,28 +47,6 @@ class TestColdModel:
         assert model.one_round_complex(_edge()) == clone.one_round_complex(
             _edge()
         )
-
-
-class TestExpandOneRound:
-    def test_equals_serial_one_round(self):
-        model = ImmediateSnapshotModel()
-        base = model.one_round_complex(_triangle())  # 13 facets ≥ threshold
-        expanded = expand_one_round(cold_model(model), base, workers=2)
-        serial = SimplicialComplex(
-            [
-                facet
-                for sigma in base
-                for facet in model.one_round_complex(sigma).facets
-            ]
-        )
-        assert expanded == serial
-
-    def test_seeds_the_parent_memo(self):
-        model = cold_model(ImmediateSnapshotModel())
-        base = model.one_round_complex(_triangle())
-        expand_one_round(model, base, workers=2)
-        for sigma in base:
-            assert model.cached_one_round(sigma) is not None
 
 
 class TestMaterializeProtocol:
@@ -67,19 +64,48 @@ class TestMaterializeProtocol:
             )
 
 
+class TestModelsShipToWorkers:
+    # Workers get a pickled cold copy of the model, so box input
+    # functions and affine predicates must not be closures.
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: AugmentedModel(TestAndSetBox()),
+            lambda: AugmentedModel(
+                BinaryConsensusBox(),
+                beta_input_function({1: 0, 2: 1, 3: 1}),
+            ),
+            lambda: k_concurrency_model(ImmediateSnapshotModel(), 2),
+            lambda: no_synchrony_model(ImmediateSnapshotModel()),
+        ],
+        ids=["test-and-set", "consensus-beta", "2-concurrency", "no-sync"],
+    )
+    def test_fan_out_matches_serial(self, make_model):
+        sigmas = list(SimplicialComplex.from_simplex(_triangle()))
+        table = materialize_protocol_complexes(
+            ProtocolOperator(make_model()), sigmas, 1, workers=2
+        )
+        serial = ProtocolOperator(make_model())
+        for sigma in sigmas:
+            assert table[sigma] == serial.of_simplex(sigma, 1)
+
+
 class TestOperatorRouting:
     def test_of_simplex_identical_across_worker_counts(self):
-        serial = ProtocolOperator(ImmediateSnapshotModel()).of_simplex(
-            _triangle(), 2, workers=1
-        )
-        parallel = ProtocolOperator(ImmediateSnapshotModel()).of_simplex(
-            _triangle(), 2, workers=2
-        )
-        assert parallel == serial
-        assert len(parallel.facets) == 13**2
+        # P^(2)(σ) seeded by the pool fan-out equals the serial recursion.
+        base = _two_triangles()
+        serial = ProtocolOperator(ImmediateSnapshotModel())
+        parallel = ProtocolOperator(ImmediateSnapshotModel())
+        parallel.carriers(base, 2, workers=2)
+        for sigma in base:
+            assert parallel.of_simplex(sigma, 2) == serial.of_simplex(
+                sigma, 2
+            )
+        triangle = Simplex([(1, 0), (2, 0), (3, 0)])
+        assert len(parallel.of_simplex(triangle, 2).facets) == 13**2
 
     def test_of_complex_identical_across_worker_counts(self):
-        base = SimplicialComplex.from_simplex(_edge())
+        base = _two_triangles()
         serial = ProtocolOperator(SnapshotModel()).of_complex(
             base, 2, workers=1
         )
@@ -87,13 +113,3 @@ class TestOperatorRouting:
             base, 2, workers=2
         )
         assert parallel == serial
-
-    def test_parallel_of_complex_merge(self):
-        base = SimplicialComplex.from_simplex(_triangle())
-        serial = ProtocolOperator(ImmediateSnapshotModel()).of_complex(
-            base, 1, workers=1
-        )
-        merged = parallel_of_complex(
-            ProtocolOperator(ImmediateSnapshotModel()), base, 1, workers=2
-        )
-        assert merged == serial

@@ -19,12 +19,6 @@ from repro.topology import (
     encode_complex,
     encode_simplex,
 )
-from repro.topology.wire import (
-    decode_choices,
-    decode_component,
-    encode_choices,
-    encode_component,
-)
 
 colors = st.integers(min_value=1, max_value=5)
 values = st.one_of(
@@ -92,29 +86,6 @@ class TestComplexRoundTrip:
         wire = encode_complex(empty)
         assert wire.pairs == () and wire.masks == ()
         assert decode_complex(wire) == empty
-
-
-class TestComponentRoundTrip:
-    def test_component_and_choices_round_trip(self):
-        u, v = Vertex(1, "u"), Vertex(2, "v")
-        outputs = [Vertex(1, 0), Vertex(1, 1), Vertex(2, 0)]
-        allowed = frozenset(
-            SimplicialComplex([Simplex([outputs[1], outputs[2]])])
-        )
-        candidates = {u: (outputs[0], outputs[1]), v: (outputs[2],)}
-        constraints = [(Simplex([u, v]), allowed)]
-
-        payload = encode_component(candidates, constraints, 1)
-        decoded, decoded_constraints, rounds = decode_component(payload)
-        assert decoded == candidates
-        assert list(decoded) == list(candidates)
-        assert decoded_constraints == constraints
-        assert rounds == 1
-
-        chosen = {u: outputs[1], v: outputs[2]}
-        choices = encode_choices(decoded, chosen)
-        assert choices == (1, 0)
-        assert dict(decode_choices(payload, choices)) == chosen
 
 
 class TestVertexTable:
