@@ -7,11 +7,20 @@ local task ``Π_{τ,σ}`` is solvable in at most one round in ``M``.  Since a
 collected, membership reduces to 1-round solvability, decided exactly by the
 engine of :mod:`repro.core.solvability`.
 
-Two practical notes:
+Three practical notes:
 
 * membership only depends on the pair ``(Δ(σ), τ)``, so results are memoized
   on that pair — sweeps over many input simplices with the same output
   window (ubiquitous in approximate agreement) share almost all the work;
+* for an :class:`~repro.models.base.IteratedModel` the candidates ``τ`` of
+  one ``σ`` share a single compiled problem.  Every face of ``τ`` with two
+  or more colors gets ``proj(Δ(σ))`` whatever ``τ`` is, and ``P^(1)(τ)`` is
+  one complex up to the value relabeling χ of Eq. (1), since the view maps
+  depend on ``ID(τ)`` only.  So the local task is compiled once, over a
+  placeholder ``τ*`` with values ``x_i``, and each ``τ`` is decided by a
+  solve that pins the solo views to ``τ``'s values (condition 1 of
+  Definition 1).  Augmented models keep one local task per ``τ``: their
+  box input may read values, so ``P^(1)(τ)`` need not be a relabeling;
 * for augmented models whose box takes inputs, the one-round algorithm is a
   pair ``(α, f)``.  When the model carries a fixed input function (the
   ``β``-restricted closure ``CL_M(Π|β)`` of Theorem 4) it is used as is;
@@ -26,9 +35,12 @@ from itertools import product
 from typing import Iterable, Optional
 
 from repro.core.local_task import local_task
-from repro.core.solvability import build_solvability_problem
+from repro.core.solvability import (
+    SolvabilityProblem,
+    build_solvability_problem,
+)
 from repro.errors import SolvabilityError
-from repro.models.base import ComputationModel
+from repro.models.base import ComputationModel, IteratedModel
 from repro.models.protocol import ProtocolOperator
 from repro.objects.augmented import AugmentedModel
 from repro.objects.beta import beta_input_function
@@ -36,6 +48,7 @@ from repro.tasks.task import Task
 from repro.telemetry import default_registry, span
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
+from repro.topology.vertex import Vertex
 
 __all__ = ["ClosureComputer", "closure_task"]
 
@@ -89,6 +102,12 @@ class ClosureComputer:
         self._beta_cache: dict[
             tuple[tuple[int, ...], tuple[int, ...]],
             tuple[ComputationModel, ProtocolOperator],
+        ] = {}
+        #: One compiled local task per ``(Δ(σ), ID(σ))`` (iterated models
+        #: only), with the solo views of ``τ*`` to pin, by color.
+        self._templates: dict[
+            tuple[SimplicialComplex, frozenset[int]],
+            tuple[SolvabilityProblem, list[tuple[int, Vertex]]],
         ] = {}
 
     @property
@@ -160,20 +179,76 @@ class ClosureComputer:
             model=self._model.name,
             participants=len(tau.ids),
         ) as decision_span:
-            the_local_task = local_task(self._task, sigma, tau)
-            member = False
-            for _, operator in self._candidate_operators(tau):
-                problem = build_solvability_problem(
-                    list(the_local_task.input_complex),
-                    the_local_task.delta,
-                    lambda face: operator.of_simplex(face, 1),
-                    rounds=1,
+            if isinstance(self._model, IteratedModel):
+                problem, solo = self._template(sigma, allowed)
+                value_of = {vertex.color: vertex for vertex in tau.vertices}
+                member = (
+                    problem.solve(
+                        pins={view: value_of[color] for color, view in solo}
+                    )
+                    is not None
                 )
-                if problem.solve() is not None:
-                    member = True
-                    break
+            else:
+                member = self._decide_local(sigma, tau)
             decision_span.set_attribute("member", member)
             return member
+
+    def _decide_local(self, sigma: Simplex, tau: Simplex) -> bool:
+        """Build and solve ``Π_{τ,σ}`` itself, once per admissible model."""
+        the_local_task = local_task(self._task, sigma, tau)
+        for _, operator in self._candidate_operators(tau):
+            problem = build_solvability_problem(
+                list(the_local_task.input_complex),
+                the_local_task.delta,
+                lambda face: operator.of_simplex(face, 1),
+                rounds=1,
+            )
+            if problem.solve() is not None:
+                return True
+        return False
+
+    def _template(
+        self, sigma: Simplex, allowed: SimplicialComplex
+    ) -> tuple[SolvabilityProblem, list[tuple[int, Vertex]]]:
+        """The local task of ``σ`` over ``τ* = {(i, x_i)}``, compiled once.
+
+        Only faces with two or more colors constrain it; the solo faces'
+        condition 1 is left to the pins, which send every vertex of
+        ``P^(1)`` of a solo face ``{(i, x_i)}`` to ``τ``'s color-``i``
+        vertex.  A solo vertex that no larger face reaches is
+        unconstrained, so its pin always holds and is dropped.
+        """
+        key = (allowed, sigma.ids)
+        found = self._templates.get(key)
+        if found is None:
+            star = Simplex((i, f"x{i}") for i in sorted(sigma.ids))
+            families = {
+                face: allowed.proj(face.ids)
+                for face in star.faces()
+                if len(face) >= 2
+            }
+            with span(
+                "closure/compile",
+                task=self._task.name,
+                model=self._model.name,
+                participants=len(star),
+            ):
+                problem = build_solvability_problem(
+                    list(families),
+                    families.__getitem__,
+                    lambda face: self._operator.of_simplex(face, 1),
+                    rounds=1,
+                )
+            solo = [
+                (vertex.color, view)
+                for vertex in star.vertices
+                for view in self._operator.of_simplex(
+                    Simplex([vertex]), 1
+                ).vertices
+                if view in problem.candidates
+            ]
+            found = self._templates[key] = (problem, solo)
+        return found
 
     def _candidate_operators(
         self, tau: Simplex
@@ -198,13 +273,6 @@ class ClosureComputer:
                     ProtocolOperator(model),
                 )
             yield entry
-
-    def _candidate_models(
-        self, tau: Simplex
-    ) -> Iterable[ComputationModel]:
-        """The models quantified over for ``τ`` (kept for introspection)."""
-        for model, _ in self._candidate_operators(tau):
-            yield model
 
     # ------------------------------------------------------------------
     # The closure's specification

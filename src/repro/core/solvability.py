@@ -22,6 +22,7 @@ why constraints range over all input simplices, not only facets).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -85,9 +86,269 @@ class DecisionMap:
         return SimplicialMap(source, target, restricted)
 
 
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+def _bits(mask: int) -> list[int]:
+    """The single-bit masks of ``mask``, lowest bit first."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low)
+        mask ^= low
+    return found
+
+
+class _Compiled:
+    """The int-native form of a :class:`SolvabilityProblem`.
+
+    Variables (protocol vertices) get dense ids in insertion order, and
+    :meth:`ranks` gives their ``_sort_key`` order — the search order's tie
+    break — on the first search that needs it: a refutation by propagation
+    never sorts the (deep, view-valued) variables at all.
+    Output vertices get single-bit masks: the candidate values first, in
+    ``_sort_key`` order, so iterating a domain's bits upwards tries values
+    in sort order; vertices that only occur in allowed families follow.
+    A domain is the OR of its values' bits, an allowed face the OR of its
+    vertices' bits, and a partial image is consistent iff its OR is in the
+    constraint's mask set.  For arc consistency every family also gets
+    ``color → bit → partner mask`` tables, so a value of ``u`` keeps
+    support from ``v`` iff its partner mask for ``v``'s color meets
+    ``v``'s domain.  Mask sets and partner tables are shared between
+    constraints over the same allowed family.  ``Vertex`` objects appear
+    only here and in :meth:`decode`.
+    """
+
+    __slots__ = (
+        "variables",
+        "var_id",
+        "rank",
+        "outputs",
+        "out_bit",
+        "domains",
+        "constraint_checks",
+        "checks",
+        "arc_var",
+        "arc_partner",
+        "arc_table",
+        "watchers",
+        "fixpoint",
+        "fixpoint_known",
+    )
+
+    def __init__(
+        self,
+        candidates: Mapping[Vertex, Sequence[Vertex]],
+        constraints: Sequence[tuple[Simplex, frozenset[Simplex]]],
+    ) -> None:
+        variables = list(candidates)
+        var_id = {vertex: i for i, vertex in enumerate(variables)}
+        outputs = sorted(
+            {value for domain in candidates.values() for value in domain},
+            key=lambda v: v._sort_key(),
+        )
+        out_bit = {vertex: 1 << i for i, vertex in enumerate(outputs)}
+        self.variables = variables
+        self.var_id = var_id
+        self.rank: Optional[list[int]] = None
+        self.outputs = outputs
+        self.out_bit = out_bit
+        self.domains = [
+            self._mask_of(candidates[vertex]) for vertex in variables
+        ]
+
+        family_tables: dict[
+            frozenset[Simplex],
+            tuple[set[int], dict[int, dict[int, int]], int],
+        ] = {}
+        self.constraint_checks: list[tuple[tuple[int, ...], set[int]]] = []
+        self.checks: list[list[tuple[tuple[int, ...], set[int]]]] = [
+            [] for _ in variables
+        ]
+        # Arc ``a`` revises ``arc_var[a]`` against ``arc_partner[a]``
+        # through ``arc_table[a]``; ``watchers[v]`` lists the arcs whose
+        # partner is ``v``.  Parallel lists, not tuples: large problems
+        # have hundreds of thousands of arcs.
+        self.arc_var: list[int] = []
+        self.arc_partner: list[int] = []
+        self.arc_table: list[dict[int, int]] = []
+        self.watchers: list[list[int]] = [[] for _ in variables]
+        size = len(variables)
+        arc_keys: set[int] = set()
+        empty: dict[int, int] = {}
+        for facet, allowed in constraints:
+            tables = family_tables.get(allowed)
+            if tables is None:
+                masks, partners = self._family(allowed)
+                tables = family_tables[allowed] = (
+                    masks,
+                    partners,
+                    len(family_tables),
+                )
+            masks, partners, family = tables
+            members = tuple(var_id[vertex] for vertex in facet.vertices)
+            check = (members, masks)
+            self.constraint_checks.append(check)
+            for position, u in enumerate(members):
+                self.checks[u].append(check)
+                for v in members[position + 1 :]:
+                    for left, right in ((u, v), (v, u)):
+                        key = (family * size + left) * size + right
+                        if key not in arc_keys:
+                            arc_keys.add(key)
+                            self.watchers[right].append(len(self.arc_var))
+                            self.arc_var.append(left)
+                            self.arc_partner.append(right)
+                            self.arc_table.append(
+                                partners.get(variables[right].color, empty)
+                            )
+        #: The unpinned arc-consistency fixpoint (``None`` when it wipes
+        #: out a domain), computed by the first propagating solve.
+        self.fixpoint: Optional[list[int]] = None
+        self.fixpoint_known = False
+
+    def _bit(self, vertex: Vertex) -> int:
+        bit = self.out_bit.get(vertex)
+        if bit is None:
+            bit = self.out_bit[vertex] = 1 << len(self.outputs)
+            self.outputs.append(vertex)
+        return bit
+
+    def _mask_of(self, vertices: Iterable[Vertex]) -> int:
+        mask = 0
+        for vertex in vertices:
+            mask |= self.out_bit[vertex]
+        return mask
+
+    def _family(
+        self, allowed: frozenset[Simplex]
+    ) -> tuple[set[int], dict[int, dict[int, int]]]:
+        """Mask set and ``color → bit → partner mask`` tables of a family."""
+        masks: set[int] = set()
+        partners: dict[int, dict[int, int]] = {}
+        for simplex in allowed:
+            vertices = simplex.vertices
+            mask = 0
+            for vertex in vertices:
+                mask |= self._bit(vertex)
+            masks.add(mask)
+            if len(vertices) == 2:
+                first, second = vertices
+                first_bit = self.out_bit[first]
+                second_bit = self.out_bit[second]
+                by_bit = partners.setdefault(second.color, {})
+                by_bit[first_bit] = by_bit.get(first_bit, 0) | second_bit
+                by_bit = partners.setdefault(first.color, {})
+                by_bit[second_bit] = by_bit.get(second_bit, 0) | first_bit
+        return masks, partners
+
+    def propagate(self, domains: list[int], start: Iterable[int]) -> bool:
+        """AC-3 from the arcs ``start``; ``False`` on a wipe-out.
+
+        A value of ``u`` survives arc ``(u, v)`` iff some value of ``v``
+        forms an allowed edge with it (allowed families are face-closed, so
+        the pair must itself be allowed).  When ``u``'s domain shrinks,
+        every arc supported by ``u`` is queued again.  ``domains`` is
+        narrowed in place to the greatest arc-consistent subdomains.
+        """
+        arc_var = self.arc_var
+        arc_partner = self.arc_partner
+        arc_table = self.arc_table
+        watchers = self.watchers
+        queue = deque(start)
+        queued = bytearray(len(arc_var))
+        for arc in queue:
+            queued[arc] = 1
+        while queue:
+            arc = queue.popleft()
+            queued[arc] = 0
+            u = arc_var[arc]
+            table = arc_table[arc]
+            domain = domains[u]
+            support = domains[arc_partner[arc]]
+            kept = domain
+            rest = domain
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not table.get(low, 0) & support:
+                    kept ^= low
+            if kept != domain:
+                if not kept:
+                    return False
+                domains[u] = kept
+                for watcher in watchers[u]:
+                    if not queued[watcher]:
+                        queued[watcher] = 1
+                        queue.append(watcher)
+        return True
+
+    def unpinned_fixpoint(self) -> Optional[list[int]]:
+        """The arc-consistent domains before any pin, computed once."""
+        if not self.fixpoint_known:
+            domains = list(self.domains)
+            if self.propagate(domains, range(len(self.arc_var))):
+                self.fixpoint = domains
+            self.fixpoint_known = True
+        return self.fixpoint
+
+    def start_domains(
+        self, use_propagation: bool, pinned: list[tuple[int, int]]
+    ) -> Optional[list[int]]:
+        """Fresh domains cut to the ``(variable, bit)`` pins; ``None`` if
+        one is empty.  With propagation they start from the cached
+        unpinned fixpoint and are made arc consistent again."""
+        if use_propagation:
+            base = self.unpinned_fixpoint()
+            if base is None:
+                return None
+            domains = list(base)
+        else:
+            domains = list(self.domains)
+        for variable, bit in pinned:
+            domains[variable] &= bit
+        if not all(domains):
+            return None
+        if use_propagation and pinned:
+            # The base domains are arc consistent already, so only arcs
+            # supported by a pinned variable can lose support; AC-3 from
+            # them reaches the same (unique) fixpoint a full run would.
+            start = [
+                arc
+                for variable, _ in pinned
+                for arc in self.watchers[variable]
+            ]
+            if not self.propagate(domains, start):
+                return None
+        return domains
+
+    def ranks(self) -> list[int]:
+        """Each variable's position in ``_sort_key`` order."""
+        if self.rank is None:
+            order = sorted(
+                range(len(self.variables)),
+                key=lambda i: self.variables[i]._sort_key(),
+            )
+            self.rank = [0] * len(order)
+            for position, variable in enumerate(order):
+                self.rank[variable] = position
+        return self.rank
+
+    def decode(self, image: list[int], rounds: int) -> DecisionMap:
+        outputs = self.outputs
+        return DecisionMap(
+            {
+                vertex: outputs[image[i].bit_length() - 1]
+                for i, vertex in enumerate(self.variables)
+            },
+            rounds,
+        )
+
+
 @dataclass
 class SolvabilityProblem:
-    """A compiled solvability instance, ready to be searched.
+    """A solvability instance, compiled to ints on first use and searched.
 
     Attributes
     ----------
@@ -98,6 +359,11 @@ class SolvabilityProblem:
         (and of each of its faces, incrementally) must belong to the set.
     rounds:
         Recorded for reporting only.
+
+    The first :meth:`prepare_search` compiles both into problem-local int
+    tables (see :class:`_Compiled`); the problem is read-only from then on.
+    Every later solve — pinned or not — reuses them, and the unpinned
+    arc-consistency fixpoint is computed once and shared too.
     """
 
     candidates: dict[Vertex, tuple[Vertex, ...]]
@@ -108,116 +374,30 @@ class SolvabilityProblem:
     #: ``__init__`` guarantees positional construction binds exactly
     #: ``(candidates, constraints, rounds)`` and nothing more.
     last_search_nodes: int = field(default=0, init=False, compare=False)
-    _by_vertex: dict[Vertex, list[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: Lookup tables derived by :meth:`_index`, all mask-native: every
-    #: output vertex appearing in some allowed family gets a bit in a
-    #: problem-local bit space (``_out_bit``), an allowed face becomes
-    #: the OR of its vertices' bits, and a partial image is consistent
-    #: iff its OR is in the constraint's ``set[int]``.  Building the
-    #: image frozenset per probe was the search's hottest allocation;
-    #: an int OR plus one set lookup replaces it.  Partner tables for
-    #: the pairwise propagation are ``bit → color → partner bit-mask``,
-    #: so arc survival is a single AND against the partner's domain
-    #: mask.  Tables are shared between constraints with the same
-    #: allowed family.
-    _constraint_vertices: list[tuple[Vertex, ...]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _allowed_masks: list[set[int]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _allowed_partners: list[dict[int, dict[int, int]]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _out_bit: dict[Vertex, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    _compiled: Optional[_Compiled] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
-    def _index(self) -> None:
-        self._by_vertex = {vertex: [] for vertex in self.candidates}
-        self._constraint_vertices = []
-        self._allowed_masks = []
-        self._allowed_partners = []
-        bit_of: dict[Vertex, int] = {}
-        self._out_bit = bit_of
-        mask_tables: dict[frozenset[Simplex], set[int]] = {}
-        partner_tables: dict[
-            frozenset[Simplex], dict[int, dict[int, int]]
-        ] = {}
-        for position, (facet, allowed) in enumerate(self.constraints):
-            vertices = facet.vertices
-            self._constraint_vertices.append(vertices)
-            for vertex in vertices:
-                self._by_vertex[vertex].append(position)
-            masks = mask_tables.get(allowed)
-            if masks is None:
-                masks = set()
-                partners: dict[int, dict[int, int]] = {}
-                for simplex in allowed:
-                    mask = 0
-                    for vertex in simplex.vertices:
-                        bit = bit_of.get(vertex)
-                        if bit is None:
-                            bit = bit_of[vertex] = len(bit_of)
-                        mask |= 1 << bit
-                    masks.add(mask)
-                    if len(simplex.vertices) == 2:
-                        first, second = simplex.vertices
-                        first_bit = bit_of[first]
-                        second_bit = bit_of[second]
-                        by_color = partners.setdefault(first_bit, {})
-                        by_color[second.color] = by_color.get(
-                            second.color, 0
-                        ) | (1 << second_bit)
-                        by_color = partners.setdefault(second_bit, {})
-                        by_color[first.color] = by_color.get(
-                            first.color, 0
-                        ) | (1 << first_bit)
-                mask_tables[allowed] = masks
-                partner_tables[allowed] = partners
-            self._allowed_masks.append(masks)
-            self._allowed_partners.append(partner_tables[allowed])
-
-    def _image_mask(
-        self,
-        vertices: tuple[Vertex, ...],
-        assignment: dict[Vertex, Vertex],
-    ) -> Optional[int]:
-        """OR of the assigned images' bits over one constraint facet.
-
-        Returns ``None`` when fewer than two of ``vertices`` are
-        assigned (partial images of size < 2 are vacuously consistent:
-        single vertices were filtered into the domains already), and
-        ``-1`` when some image has no bit at all — it appears in no
-        allowed family, so no allowed face can contain it, and ``-1``
-        is never a member of a mask set, making the membership test
-        reject it without a special case.
-        """
-        bit_of = self._out_bit
-        mask = 0
-        count = 0
-        missing = False
-        for vertex in vertices:
-            image = assignment.get(vertex)
-            if image is None:
-                continue
-            count += 1
-            bit = bit_of.get(image)
-            if bit is None:
-                missing = True
-            else:
-                mask |= 1 << bit
-        if count < 2:
-            return None
-        return -1 if missing else mask
+    def _compile(self) -> _Compiled:
+        compiled = self._compiled
+        if compiled is None:
+            with span(
+                "solvability/compile",
+                vertices=len(self.candidates),
+                constraints=len(self.constraints),
+            ) as compile_span:
+                compiled = self._compiled = _Compiled(
+                    self.candidates, self.constraints
+                )
+                compile_span.set_attribute("arcs", len(compiled.arc_var))
+        return compiled
 
     def solve(
         self,
         use_propagation: bool = True,
         use_components: bool = True,
         node_limit: Optional[int] = None,
+        pins: Optional[Mapping[Vertex, Vertex]] = None,
     ) -> Optional[DecisionMap]:
         """Search for a satisfying assignment; ``None`` if none exists.
 
@@ -235,14 +415,23 @@ class SolvabilityProblem:
         ``node_limit`` bounds the number of explored search nodes; when it
         is exceeded a :class:`SolvabilityError` is raised (used by the same
         benchmarks to quantify the thrashing without waiting it out).
+
+        ``pins`` maps protocol vertices to the one output vertex each must
+        take.  A pinned solve answers exactly what a fresh problem with
+        those domains cut down to the pin would answer, and returns the
+        same map; it shares this problem's compiled tables and unpinned
+        fixpoint, so deciding many pin sets costs one compile.
         """
         with span(
             "solvability/solve",
             vertices=len(self.candidates),
             constraints=len(self.constraints),
             rounds=self.rounds,
+            pinned=bool(pins),
         ) as solve_span:
-            result = self._solve(use_propagation, use_components, node_limit)
+            result = self._solve(
+                use_propagation, use_components, node_limit, pins
+            )
             solve_span.set_attribute("nodes", self.last_search_nodes)
             solve_span.set_attribute("solvable", result is not None)
             return result
@@ -251,259 +440,186 @@ class SolvabilityProblem:
         self,
         use_propagation: bool = True,
         use_components: bool = True,
-    ) -> Optional[
-        tuple[
-            dict[Vertex, list[Vertex]],
-            dict[Vertex, Vertex],
-            list[list[Vertex]],
-        ]
-    ]:
+        pins: Optional[Mapping[Vertex, Vertex]] = None,
+    ) -> Optional[tuple[list[int], list[int], list[list[int]]]]:
         """Run every pre-search stage; ``None`` refutes the instance.
 
-        Everything :meth:`solve` does before backtracking: the
-        empty-domain check, constraint indexing, pairwise
+        Everything :meth:`solve` does before backtracking: compiling (on
+        the first call), the empty-domain check, the pins,
         arc-consistency propagation, up-front assignment of forced
-        (singleton-domain) vertices, the pinned-pair constraint
+        (singleton-domain) variables, the forced-image constraint
         precheck, and the connected-component decomposition.  Returns
-        ``(domains, assignment, components)`` ready for per-component
-        backtracking — each component is independent of the others
-        given the forced assignment.
+        ``(domains, image, components)`` over the compiled ids: the
+        domain bitset of every variable, the output bit forced on it (0
+        if free), and the free variables split into components, each
+        independent of the others given the forced images.
         """
         self.last_search_nodes = 0
-        if any(not domain for domain in self.candidates.values()):
-            return None
-        self._index()
-        domains: dict[Vertex, list[Vertex]] = {
-            vertex: list(options)
-            for vertex, options in self.candidates.items()
-        }
-        if use_propagation and not self._propagate_pairwise(domains):
+        compiled = self._compile()
+        domains = self._domains(compiled, use_propagation, pins)
+        if domains is None:
             return None
 
-        # Forced vertices (singleton domains — e.g. every solo view, whose
-        # carrier intersection pins the output) are assigned up front.
-        # Beyond saving search depth, this is what lets the component
-        # decomposition genuinely split the problem: forced vertices are
-        # shared between otherwise-independent input windows and would
-        # bridge their components.
-        assignment: dict[Vertex, Vertex] = {
-            vertex: options[0]
-            for vertex, options in domains.items()
-            if len(options) == 1
-        }
-        for position, vertices in enumerate(self._constraint_vertices):
-            pinned = self._image_mask(vertices, assignment)
-            if (
-                pinned is not None
-                and pinned not in self._allowed_masks[position]
-            ):
+        # Forced variables (singleton domains — e.g. every solo view,
+        # whose carrier intersection pins the output) are assigned up
+        # front.  Beyond saving search depth, this is what lets the
+        # component decomposition genuinely split the problem: forced
+        # variables are shared between otherwise-independent input
+        # windows and would bridge their components.
+        image = [0 if domain & (domain - 1) else domain for domain in domains]
+        for members, masks in compiled.constraint_checks:
+            mask = 0
+            count = 0
+            for member in members:
+                bit = image[member]
+                if bit:
+                    mask |= bit
+                    count += 1
+            if count > 1 and mask not in masks:
                 return None
 
-        free = [v for v in domains if v not in assignment]
-        components = (
-            self._components(free)
-            if use_components
-            else ([sorted(free, key=lambda v: v._sort_key())] if free else [])
-        )
-        return domains, assignment, components
+        free = [i for i, bit in enumerate(image) if not bit]
+        if not free:
+            return domains, image, []
+        by_rank = compiled.ranks().__getitem__
+        free.sort(key=by_rank)
+        if not use_components:
+            return domains, image, [free]
+        # Constraint-graph components over the free variables: the arcs
+        # a variable supports lead to its constraint neighbours.
+        arc_var = compiled.arc_var
+        watchers = compiled.watchers
+        seen = bytearray(len(domains))
+        components = []
+        for seed in free:
+            if seen[seed]:
+                continue
+            seen[seed] = 1
+            stack, component = [seed], [seed]
+            while stack:
+                for arc in watchers[stack.pop()]:
+                    neighbor = arc_var[arc]
+                    if not seen[neighbor] and not image[neighbor]:
+                        seen[neighbor] = 1
+                        stack.append(neighbor)
+                        component.append(neighbor)
+            component.sort(key=by_rank)
+            components.append(component)
+        return domains, image, components
+
+    def _domains(
+        self,
+        compiled: _Compiled,
+        use_propagation: bool,
+        pins: Optional[Mapping[Vertex, Vertex]],
+    ) -> Optional[list[int]]:
+        """The domains the search starts from; ``None`` refutes."""
+        if not all(compiled.domains):
+            return None
+        pinned = []
+        for vertex, value in (pins or {}).items():
+            variable = compiled.var_id.get(vertex)
+            if variable is None:
+                raise SolvabilityError(
+                    f"pinned vertex {vertex!r} is not a variable"
+                )
+            pinned.append((variable, compiled.out_bit.get(value, 0)))
+        with span(
+            "solvability/propagate", pinned=bool(pins)
+        ) as propagate_span:
+            domains = compiled.start_domains(use_propagation, pinned)
+            propagate_span.set_attribute("wipeouts", int(domains is None))
+            return domains
 
     def _solve(
         self,
         use_propagation: bool,
         use_components: bool,
         node_limit: Optional[int],
+        pins: Optional[Mapping[Vertex, Vertex]],
     ) -> Optional[DecisionMap]:
-        prepared = self.prepare_search(use_propagation, use_components)
+        prepared = self.prepare_search(use_propagation, use_components, pins)
         if prepared is None:
             return None
-        domains, assignment, components = prepared
-        for component in components:
-            if not self._search_component(
-                component, domains, assignment, node_limit
-            ):
-                return None
-        return DecisionMap(dict(assignment), self.rounds)
-
-    def _propagate_pairwise(
-        self, domains: dict[Vertex, list[Vertex]]
-    ) -> bool:
-        """AC-3 over the pairs of every constraint facet.
-
-        A candidate for ``u`` survives only if, for every facet containing
-        both ``u`` and some ``v``, a candidate of ``v`` forms an allowed
-        edge with it (complexes are face-closed, so the pair must itself
-        be an allowed simplex).  Edge tests go through the bit-indexed
-        partner tables built by :meth:`_index`: each domain is mirrored
-        as an OR of its candidates' bits, so one arc test is a dict
-        lookup plus a single AND — no simplices (or sets) are
-        materialized during the fixpoint.
-        """
-        arcs = []
-        arc_set = set()
-        for position, vertices in enumerate(self._constraint_vertices):
-            partners = self._allowed_partners[position]
-            for i, u in enumerate(vertices):
-                for v in vertices[i + 1 :]:
-                    for left, right in ((u, v), (v, u)):
-                        key = (left, right, id(partners))
-                        if key not in arc_set:
-                            arc_set.add(key)
-                            arcs.append((left, right, partners))
-        from collections import deque
-
-        queue = deque(arcs)
-        watchers: dict[Vertex, list] = {}
-        for arc in arcs:
-            watchers.setdefault(arc[1], []).append(arc)
-
-        bit_of = self._out_bit
-
-        def domain_mask(options: list[Vertex]) -> int:
-            mask = 0
-            for option in options:
-                bit = bit_of.get(option)
-                if bit is not None:
-                    mask |= 1 << bit
-            return mask
-
-        domain_masks = {
-            vertex: domain_mask(options)
-            for vertex, options in domains.items()
-        }
-        empty: dict[int, int] = {}
-        while queue:
-            u, v, partners = queue.popleft()
-            mask_v = domain_masks[v]
-            color_v = v.color
-            kept = []
-            for cand_u in domains[u]:
-                bit = bit_of.get(cand_u)
-                allowed_mask = (
-                    partners.get(bit, empty).get(color_v)
-                    if bit is not None
-                    else None
-                )
-                if allowed_mask is not None and allowed_mask & mask_v:
-                    kept.append(cand_u)
-            if len(kept) != len(domains[u]):
-                if not kept:
-                    return False
-                domains[u] = kept
-                domain_masks[u] = domain_mask(kept)
-                for arc in watchers.get(u, ()):
-                    queue.append(arc)
-        return True
-
-    def _components(self, free: list[Vertex]) -> list[list[Vertex]]:
-        """Connected components of the constraint graph over free vertices.
-
-        Forced vertices are excluded: their values are already fixed, so
-        they transmit no uncertainty between the subproblems they touch.
-        """
-        free_set = set(free)
-        neighbors: dict[Vertex, set] = {v: set() for v in free_set}
-        for constraint_vertices in self._constraint_vertices:
-            vertices = [v for v in constraint_vertices if v in free_set]
-            for i, u in enumerate(vertices):
-                for v in vertices[i + 1 :]:
-                    neighbors[u].add(v)
-                    neighbors[v].add(u)
-        remaining = set(free_set)
-        components: list[list[Vertex]] = []
-        while remaining:
-            seed = min(remaining, key=lambda v: v._sort_key())
-            stack, seen = [seed], {seed}
-            while stack:
-                current = stack.pop()
-                for neighbor in neighbors[current]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        stack.append(neighbor)
-            components.append(
-                sorted(seen, key=lambda v: v._sort_key())
-            )
-            remaining -= seen
-        return components
+        domains, image, components = prepared
+        with span(
+            "solvability/search", components=len(components)
+        ) as search_span:
+            try:
+                for component in components:
+                    if not self._search_component(
+                        component, domains, image, node_limit
+                    ):
+                        return None
+            finally:
+                search_span.set_attribute("nodes", self.last_search_nodes)
+        assert self._compiled is not None
+        return self._compiled.decode(image, self.rounds)
 
     def _search_component(
         self,
-        component: list[Vertex],
-        domains: dict[Vertex, list[Vertex]],
-        assignment: dict[Vertex, Vertex],
+        component: list[int],
+        domains: list[int],
+        image: list[int],
         node_limit: Optional[int] = None,
     ) -> bool:
+        assert self._compiled is not None
+        rank = self._compiled.ranks()
         order = sorted(
-            component, key=lambda v: (len(domains[v]), v._sort_key())
+            component, key=lambda i: (_popcount(domains[i]), rank[i])
         )
-        constraint_vertices = self._constraint_vertices
-        allowed_masks = self._allowed_masks
-        by_vertex = self._by_vertex
-        image_mask = self._image_mask
-
-        def consistent(vertex: Vertex) -> bool:
-            # One OR sweep plus one set-of-int lookup per touched
-            # constraint, for any arity — the pair case needs no special
-            # path since a two-bit mask lookup is exactly as cheap.
-            for constraint_index in by_vertex[vertex]:
-                partial = image_mask(
-                    constraint_vertices[constraint_index], assignment
-                )
-                if (
-                    partial is not None
-                    and partial not in allowed_masks[constraint_index]
-                ):
-                    return False
+        options = [_bits(domains[i]) for i in order]
+        checks = [self._compiled.checks[i] for i in order]
+        # Depth-first over ``order`` with an explicit stack of
+        # next-option positions, one per depth: components can have
+        # thousands of free variables, far beyond the interpreter's
+        # recursion limit.  Variable order, value order and node
+        # counting are fixed: node budgets must stay comparable.
+        depth_count = len(order)
+        if depth_count == 0:
             return True
-
-        def backtrack() -> bool:
-            # Depth-first over ``order`` with an explicit stack of
-            # next-option positions, one per depth: components can have
-            # thousands of free vertices, far beyond the interpreter's
-            # recursion limit.  Variable order, value order and node
-            # counting are fixed: node budgets must stay comparable.
-            depth_count = len(order)
-            if depth_count == 0:
-                return True
-            next_option = [0] * depth_count
-            depth = 0
+        next_option = [0] * depth_count
+        depth = 0
+        nodes = self.last_search_nodes
+        try:
             while True:
-                vertex = order[depth]
-                options = domains[vertex]
                 position = next_option[depth]
-                if position == len(options):
+                if position == len(options[depth]):
                     # Every value failed: retract the parent's image.
                     next_option[depth] = 0
                     depth -= 1
                     if depth < 0:
                         return False
-                    del assignment[order[depth]]
+                    image[order[depth]] = 0
                     continue
                 next_option[depth] = position + 1
-                self.last_search_nodes += 1
-                if node_limit is not None and (
-                    self.last_search_nodes > node_limit
-                ):
+                nodes += 1
+                if node_limit is not None and nodes > node_limit:
                     raise SolvabilityError(
                         f"search exceeded the node budget of {node_limit}"
                     )
-                assignment[vertex] = options[position]
-                if consistent(vertex):
+                variable = order[depth]
+                image[variable] = options[depth][position]
+                # One OR sweep plus one set-of-int lookup per touched
+                # constraint; partial images of fewer than two vertices
+                # are vacuously consistent.
+                for members, masks in checks[depth]:
+                    mask = 0
+                    count = 0
+                    for member in members:
+                        bit = image[member]
+                        if bit:
+                            mask |= bit
+                            count += 1
+                    if count > 1 and mask not in masks:
+                        image[variable] = 0
+                        break
+                else:
                     depth += 1
                     if depth == depth_count:
                         return True
-                else:
-                    del assignment[vertex]
-
-        try:
-            return backtrack()
-        except SolvabilityError:
-            # A budget abort leaves the images of the current descent in
-            # place; unwind the component's partial images so a caught
-            # error leaves the problem (and the shared assignment)
-            # reusable for a later solve.
-            for vertex in order:
-                assignment.pop(vertex, None)
-            raise
+        finally:
+            self.last_search_nodes = nodes
 
 
 def build_solvability_problem(

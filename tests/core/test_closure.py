@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from repro.core import ClosureComputer, closure_task
+from repro.core.local_task import local_task
+from repro.core.solvability import build_solvability_problem
 from repro.errors import SolvabilityError
+from repro.models import ImmediateSnapshotModel, ProtocolOperator
+from repro.models.affine import k_concurrency_model, no_synchrony_model
 from repro.tasks import (
     approximate_agreement_task,
     binary_consensus_task,
@@ -140,3 +144,120 @@ class TestClosureWithBoxes:
         assert set(fixed.legal_outputs(sigma)) <= set(
             quantified.legal_outputs(sigma)
         )
+
+
+def _oracle_member(task, model, sigma, tau):
+    """Definition 2 read literally: compile ``Π_{τ,σ}`` and solve it."""
+    the_local_task = local_task(task, sigma, tau)
+    operator = ProtocolOperator(model)
+    problem = build_solvability_problem(
+        list(the_local_task.input_complex),
+        the_local_task.delta,
+        lambda face: operator.of_simplex(face, 1),
+        rounds=1,
+    )
+    return problem.solve() is not None
+
+
+def _every_candidate(task, sigma):
+    allowed = task.delta(sigma)
+    return [
+        allowed.candidate(key)
+        for key in allowed.chromatic_candidates(sigma.ids)
+    ]
+
+
+_IIS = ImmediateSnapshotModel()
+_PARITY_MODELS = {
+    "iis": _IIS,
+    "snapshot": "snapshot_model",
+    "collect": "collect_model",
+    "1-concurrency": k_concurrency_model(_IIS, 1),
+    "2-concurrency": k_concurrency_model(_IIS, 2),
+    "no-sync": no_synchrony_model(_IIS),
+}
+_PARITY_CASES = [
+    (
+        approximate_agreement_task([1, 2], F(1, 3), 3),
+        [input_simplex({1: F(0), 2: F(1)}), input_simplex({1: F(1, 3), 2: F(2, 3)})],
+    ),
+    (
+        binary_consensus_task([1, 2, 3]),
+        [input_simplex({1: 0, 2: 1, 3: 1})],
+    ),
+    (
+        liberal_approximate_agreement_task([1, 2, 3], F(1, 4), 4),
+        [
+            input_simplex({1: F(0), 2: F(1, 2), 3: F(1)}),
+            input_simplex({1: F(1, 2), 2: F(1, 2), 3: F(1)}),
+            input_simplex({2: F(0), 3: F(1, 2)}),
+        ],
+    ),
+]
+
+
+class TestPinnedTemplate:
+    """Compile-once membership equals the per-τ local task, τ by τ."""
+
+    @pytest.mark.parametrize("model_name", sorted(_PARITY_MODELS))
+    @pytest.mark.parametrize(
+        "case", range(len(_PARITY_CASES)), ids=["aa-n2", "bc-n3", "laa-n3"]
+    )
+    def test_membership_matches_the_local_task_oracle(
+        self, request, model_name, case
+    ):
+        model = _PARITY_MODELS[model_name]
+        if isinstance(model, str):
+            model = request.getfixturevalue(model)
+        task, sigmas = _PARITY_CASES[case]
+        computer = ClosureComputer(task, model)
+        windows = set()
+        for sigma in sigmas:
+            allowed = task.delta(sigma)
+            for tau in _every_candidate(task, sigma):
+                expected = _oracle_member(task, model, sigma, tau)
+                assert computer.contains(sigma, tau) == expected, (
+                    model.name,
+                    sigma,
+                    tau,
+                )
+                if tau not in allowed:
+                    windows.add((allowed, sigma.ids))
+        # The candidates outside Δ(σ) went through one template for each
+        # (Δ(σ), ID(σ)) they were drawn for.
+        assert windows
+        assert set(computer._templates) == windows
+
+    def test_members_and_non_members_both_occur(self, iis):
+        task, sigmas = _PARITY_CASES[2]
+        computer = ClosureComputer(task, iis)
+        sigma = sigmas[0]
+        allowed = task.delta(sigma)
+        verdicts = {
+            computer.contains(sigma, tau)
+            for tau in _every_candidate(task, sigma)
+            if tau not in allowed
+        }
+        assert verdicts == {True, False}
+
+    def test_beta_restricted_closure_never_builds_a_template(
+        self, iis_bc_beta011, monkeypatch
+    ):
+        # The box input α of an augmented model may read values, so
+        # P^(1)(τ) need not be a relabeling of P^(1)(τ*): every τ keeps
+        # its own local task.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("template built for an augmented model")
+
+        monkeypatch.setattr(ClosureComputer, "_template", forbidden)
+        task = binary_consensus_task([1, 2, 3])
+        computer = ClosureComputer(task, iis_bc_beta011)
+        sigma = input_simplex({1: 0, 2: 1, 3: 1})
+        allowed = task.delta(sigma)
+        candidates = _every_candidate(task, sigma)
+        assert any(tau not in allowed for tau in candidates)
+        for tau in candidates:
+            assert computer.contains(sigma, tau) == _oracle_member(
+                task, iis_bc_beta011, sigma, tau
+            )
+        assert computer._templates == {}

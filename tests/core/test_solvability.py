@@ -298,3 +298,107 @@ class TestDeepSearch:
         # overflowed the stack of a recursive search.
         task = approximate_agreement_task([1, 2, 3], F(1, 4), 4)
         assert is_solvable(task, iis, 2)
+
+
+class TestPinnedSolve:
+    """``solve(pins=...)`` on one compiled problem, against fresh problems."""
+
+    def _problem(self, iis):
+        task = approximate_agreement_task([1, 2, 3], F(1, 2), 2)
+        operator = ProtocolOperator(iis)
+        return build_solvability_problem(
+            list(task.input_complex),
+            task.delta,
+            lambda sigma: operator.of_simplex(sigma, 1),
+            rounds=1,
+        )
+
+    @staticmethod
+    def _fresh(problem, pins):
+        """The same instance with every pinned domain cut to its pin."""
+        from repro.core.solvability import SolvabilityProblem
+
+        candidates = dict(problem.candidates)
+        for vertex, value in pins.items():
+            candidates[vertex] = tuple(
+                option for option in candidates[vertex] if option == value
+            )
+        return SolvabilityProblem(
+            candidates, problem.constraints, problem.rounds
+        )
+
+    def _pin_sets(self, problem):
+        # Every value of the three least-constrained free vertices, alone
+        # and with a second pin on the next vertex: members, refutations
+        # and values that arc consistency removes before any pin.
+        free = sorted(
+            (v for v, domain in problem.candidates.items() if len(domain) > 1),
+            key=lambda v: (-len(problem.candidates[v]), v._sort_key()),
+        )[:3]
+        sets = []
+        for first, second in zip(free, free[1:] + free[:1]):
+            for value in problem.candidates[first]:
+                sets.append({first: value})
+                for other in problem.candidates[second]:
+                    sets.append({first: value, second: other})
+        return sets
+
+    def test_pinned_solve_matches_a_fresh_problem(self, iis):
+        problem = self._problem(iis)
+        verdicts = set()
+        for pins in self._pin_sets(problem):
+            fresh = self._fresh(problem, pins)
+            expected = fresh.solve()
+            found = problem.solve(pins=pins)
+            assert (found is None) == (expected is None), pins
+            if found is not None:
+                assert found.assignment == expected.assignment
+                for vertex, value in pins.items():
+                    assert found(vertex) == value
+            assert problem.last_search_nodes == fresh.last_search_nodes
+            verdicts.add(found is None)
+        assert verdicts == {True, False}
+
+    def test_pinned_solves_leak_no_state(self, iis):
+        problem = self._problem(iis)
+        pin_sets = self._pin_sets(problem)
+        first = []
+        for pins in pin_sets:
+            first.append((problem.solve(pins=pins), problem.last_search_nodes))
+        assert problem.solve() is not None
+        assert problem.last_search_nodes == 90
+        # Replayed in reverse order, after an unpinned solve: every answer
+        # and node count is the first pass's, so no domain, image or
+        # counter survived from one solve into the next.
+        for pins, (before, nodes) in reversed(list(zip(pin_sets, first))):
+            again = problem.solve(pins=pins)
+            assert (again is None) == (before is None)
+            if again is not None:
+                assert again.assignment == before.assignment
+            assert problem.last_search_nodes == nodes
+        assert problem.solve() is not None
+        assert problem.last_search_nodes == 90
+        # A pinned refutation by propagation alone resets the counter.
+        refuted = [
+            pins
+            for pins, (found, nodes) in zip(pin_sets, first)
+            if found is None and nodes == 0
+        ]
+        assert refuted
+        problem.solve(pins=refuted[0])
+        assert problem.last_search_nodes == 0
+
+    def test_pin_outside_the_domain_refutes(self, iis):
+        problem = self._problem(iis)
+        vertex = next(v for v, d in problem.candidates.items() if len(d) > 1)
+        # A protocol vertex is never an output value.
+        assert problem.solve(pins={vertex: vertex}) is None
+        assert problem.last_search_nodes == 0
+        assert problem.solve() is not None
+
+    def test_pin_on_an_unknown_vertex_is_an_error(self, iis):
+        from repro.topology import Vertex
+
+        problem = self._problem(iis)
+        with pytest.raises(SolvabilityError):
+            problem.solve(pins={Vertex(9, "nowhere"): Vertex(9, 0)})
